@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -17,7 +19,7 @@ import sys
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .encoder import export_posterior_csv
-from .errors import ConfigError, DataError, HbrcaError, NumericalError
+from .errors import ConfigError, DataError, HbrcaError, NumericalError, ParameterError
 from .model import predict_corpus
 from .rca import accuracy_csv, run_rca
 from .springs import ScmSpec, simulate
@@ -62,6 +64,17 @@ def load_run_config(path: str, command: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown '{command}' keys {sorted(unknown)}")
     return section
+
+
+def _section_object(build, cls, values: dict, where: str):
+    """`build(**values)`; unknown keys and invalid values are ConfigErrors."""
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown '{where}' keys {sorted(unknown)}")
+    try:
+        return build(**values)
+    except (ParameterError, TypeError) as exc:  # TypeError: a value of the wrong type
+        raise ConfigError(f"'{where}': {exc}") from exc
 
 
 def write_echo(out_dir: str, command: str, section: dict, extra: dict) -> None:
@@ -125,12 +138,15 @@ def cmd_train(section: dict, out_dir: str, seed_override) -> dict:
     if seed_override is not None:
         overrides["seed"] = seed_override
     if phase == "prediction":
-        config = TrainConfig.prediction(corpus.n_steps, **overrides)
+        build = functools.partial(TrainConfig.prediction, corpus.n_steps)
     elif phase == "rca":
-        config = TrainConfig.rca(**overrides)
+        build = TrainConfig.rca
     else:
         raise ConfigError(f"unknown training phase '{phase}'")
-    split = SplitSpec(**section["split"]) if "split" in section else None
+    config = _section_object(build, TrainConfig, overrides, "train.config")
+    split = None
+    if "split" in section:
+        split = _section_object(SplitSpec, SplitSpec, section["split"], "train.split")
     checkpoint = train(config, corpus, split, log=print)
     checkpoint.save(os.path.join(out_dir, "checkpoint.json"))
     write_metrics_csv(checkpoint.history, os.path.join(out_dir, "metrics.csv"))
@@ -195,7 +211,11 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
     digest = corpus_mod.corpus_hash(corpus)
     allow = allow_mismatch or bool(section.get("allow_hash_mismatch", False))
     _check_hash(checkpoint, digest, allow)
-    top_k = int(section.get("top_k", 10))
+    top_k = int(section.get("top_k", min(10, corpus.n_atoms)))
+    if not 1 <= top_k <= corpus.n_atoms:
+        raise ConfigError(
+            f"'rca.top_k' is {top_k}; it must lie in [1, {corpus.n_atoms}] (the atom count)"
+        )
     eps = float(section.get("epsilon", 1e-8))
     model = checkpoint.build_model()
     report, posterior = run_rca(model, corpus, k=top_k, eps=eps)
@@ -231,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override run seed")
         cmd.add_argument(
-            "--threads", type=int, default=1,
-            help="worker threads (the reference path is single-threaded)",
-        )
-        cmd.add_argument(
             "--allow-hash-mismatch", action="store_true",
             help="proceed when the corpus hash differs from the checkpoint's",
         )
@@ -243,15 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.threads > 1:
-        print(
-            "note: only the single-threaded reference path is implemented; "
-            "continuing with 1 thread",
-            file=sys.stderr,
-        )
     try:
         section = load_run_config(args.config, args.command)
         os.makedirs(args.out, exist_ok=True)

@@ -369,9 +369,9 @@ class SplitSpec:
     def __post_init__(self):
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
-            raise ParameterError(f"split fractions sum to {total}, expected 1")
+            raise ParameterError(f"train + val + test fractions sum to {total}, expected 1")
         if min(self.train, self.val, self.test) < 0:
-            raise ParameterError("split fractions must be nonnegative")
+            raise ParameterError("train, val and test fractions must be nonnegative")
 
 
 def split_windows(corpus: TrajectoryCorpus, spec: SplitSpec):

@@ -4,6 +4,16 @@ Two rounds of node/edge message passing turn each node's flattened
 trajectory into a categorical distribution over three edge types for
 every ordered pair: index 0 non-causal, index 1 causal bonded (hb),
 index 2 causal separation (sep).
+
+The pair networks `edge1`/`edge2` never build the [sender, receiver]
+concatenation. Their first layer splits by the identity
+
+    [s, r] W1 = s W1[:H] + r W1[H:],
+
+so both halves (the bias added to the receiver's) are computed once per
+node, on B*N rows, and gathered to the B*N*(N-1) pair rows before the
+activation (see `Mlp2.forward_pairs`). Results match the concatenated form up to
+rounding in the last bits.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import fmt_float
 from .errors import DimensionError, ParameterError
-from .graph import PairIndex, pair_index
+from .graph import pair_index
 from .layers import Linear, Mlp2, gumbel_softmax
 
 N_EDGE_TYPES = 3
@@ -92,12 +102,6 @@ class EncoderParams:
         return buffers
 
 
-def _pair_concat(node_h: T.Tensor, idx: PairIndex) -> T.Tensor:
-    recv = T.repeat_rows(node_h, idx.n_nodes - 1)
-    send = T.permute_rows(recv, idx.sigma, idx.sigma)
-    return T.concat([send, recv], axis=1)
-
-
 def encode_logits(
     params: EncoderParams, windows: np.ndarray, training: bool = False
 ) -> T.Tensor:
@@ -113,10 +117,10 @@ def encode_logits(
     idx = pair_index(n, b)
     x = T.Tensor(windows.reshape(b * n, t * d))
     node_h = params.embed.forward(x, training)
-    edge_h = params.edge1.forward(_pair_concat(node_h, idx), training)
+    edge_h = params.edge1.forward_pairs(node_h, idx, training)
     agg = T.segment_sum_rows(edge_h, n - 1)
     node_h2 = params.node1.forward(agg, training)
-    edge_h2 = params.edge2.forward(_pair_concat(node_h2, idx), training)
+    edge_h2 = params.edge2.forward_pairs(node_h2, idx, training)
     return params.out.forward(edge_h2)
 
 

@@ -114,8 +114,25 @@ class Mlp2:
             raise DimensionError(
                 f"expected input [*, {self.n_in}], got {x.data.shape}"
             )
+        return self._rest(T.add(T.matmul(x, self.w1), self.b1), training)
+
+    def forward_pairs(self, node_h: T.Tensor, idx, training: bool = False) -> T.Tensor:
+        """`forward` on the [sender, receiver] rows of every ordered pair of
+        the B*N node rows `node_h` (`idx`: the batch's PairIndex). Layer 1
+        runs per node, [s, r] W1 + b1 = s W1[:F] + (r W1[F:] + b1), then gathers."""
+        half = self.n_in // 2
+        if node_h.data.ndim != 2 or 2 * node_h.data.shape[1] != self.n_in:
+            raise DimensionError(f"expected node input [*, {half}], got {node_h.data.shape}")
+        fan = idx.n_nodes - 1
+        send = T.matmul(node_h, T.rows(self.w1, 0, half))
+        recv = T.add(T.matmul(node_h, T.rows(self.w1, half, 2 * half)), self.b1)
+        send = T.permute_rows(T.repeat_rows(send, fan), idx.sigma, idx.sigma)
+        return self._rest(T.add(send, T.repeat_rows(recv, fan)), training)
+
+    def _rest(self, pre: T.Tensor, training: bool) -> T.Tensor:
+        """Everything after layer 1's pre-activation: activations, layer 2, norm."""
         act = T.elu if self.activation == "elu" else T.relu
-        h = act(T.add(T.matmul(x, self.w1), self.b1))
+        h = act(pre)
         h = act(T.add(T.matmul(h, self.w2), self.b2))
         if self.bn is not None:
             h = self.bn.forward(h, training)

@@ -83,13 +83,6 @@ def encode_windows(model: ModelParams, windows: np.ndarray):
     return probs, logits
 
 
-def posteriors_from_probs(probs: np.ndarray, logits: np.ndarray, n_nodes: int):
-    return [
-        EdgePosterior.from_flat(probs[s], logits[s], n_nodes)
-        for s in range(probs.shape[0])
-    ]
-
-
 def mean_posterior(probs: np.ndarray, n_nodes: int) -> EdgePosterior:
     """Window-averaged posterior (the exported PCM matrix)."""
     mean = probs.mean(axis=0)

@@ -384,6 +384,19 @@ def cols(a, lo: int, hi: int) -> Tensor:
     return _node(out_data.copy(), (a,), backward)
 
 
+def rows(a, lo: int, hi: int) -> Tensor:
+    """Row slice [lo:hi] of a 2-D tensor (a contiguous view, no copy)."""
+    a = _wrap(a)
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            full[lo:hi] = g
+            a._accumulate(full, owned=True)
+
+    return _node(a.data[lo:hi], (a,), backward)
+
+
 # -- graph gather/scatter ------------------------------------------------
 
 

@@ -58,7 +58,7 @@ class TrainConfig:
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         if min(self.lambda_kl, self.lambda_rec, self.lambda_sparse) <= 0:
-            raise ParameterError("loss weights must be positive")
+            raise ParameterError("lambda_kl, lambda_rec and lambda_sparse must be positive")
         prior = tuple(float(p) for p in self.prior)
         if len(prior) != 3 or min(prior) <= 0:
             raise ParameterError("prior must be three positive entries")

@@ -177,6 +177,24 @@ def test_unknown_config_key_gives_exit_2(workdir):
     assert main(["generate", "--config", path, "--out", str(workdir / "o")]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("config", {"epochs": 0}),
+    ("config", {"epochs": "x"}),
+    ("config", {"mystery": 1}),
+    ("split", {"train": 0.5, "val": 0.1, "test": 0.1}),
+])
+def test_bad_train_section_value_gives_exit_2(workdir, key, value, capsys):
+    gen_dir = workdir / "gen"
+    cfg = write_config(workdir / "gen.json", generate_config())
+    assert main(["generate", "--config", cfg, "--out", str(gen_dir)]) == 0
+    path = write_config(workdir / "t.json", {
+        "schema_version": 1,
+        "train": {"corpus": str(gen_dir / "corpus.txt"), "phase": "rca", key: value},
+    })
+    assert main(["train", "--config", path, "--out", str(workdir / "o")]) == 2
+    assert f"train.{key}" in capsys.readouterr().err
+
+
 def test_missing_section_gives_exit_2(workdir):
     path = write_config(workdir / "bad.json", {"schema_version": 1})
     assert main(["train", "--config", path, "--out", str(workdir / "o")]) == 2
@@ -269,19 +287,24 @@ def test_rca_without_both_regimes_reports_undefined_accuracy(workdir):
     })
     assert main(["train", "--config", tcfg, "--out", str(train_dir)]) == 0
     rca_dir = workdir / "rca"
-    rcfg = write_config(workdir / "rca.json", {
-        "schema_version": 1,
-        "rca": {
-            "checkpoint": str(train_dir / "checkpoint.json"),
-            "corpus": str(gen_dir / "corpus.txt"),
-            "top_k": 2,
-        },
-    })
+    rca_section = {
+        "checkpoint": str(train_dir / "checkpoint.json"),
+        "corpus": str(gen_dir / "corpus.txt"),
+    }
+    # no top_k: the default of 10 is capped at the corpus's 5 atoms
+    rcfg = write_config(workdir / "rca.json", {"schema_version": 1, "rca": rca_section})
     assert main(["rca", "--config", rcfg, "--out", str(rca_dir)]) == 0
     acc = (rca_dir / "rca_accuracy.csv").read_text()
     for metric in ("kl", "wasserstein", "expectation"):
         assert f"{metric},na,na" in acc
-    assert json.loads((rca_dir / "config.json").read_text())["score"] == "channel"
+    echo = json.loads((rca_dir / "config.json").read_text())
+    assert echo["score"] == "channel"
+    assert len(echo["top_k"]) == 5
+    # an explicit top_k above the atom count is a config error
+    rcfg = write_config(workdir / "rca6.json", {
+        "schema_version": 1, "rca": dict(rca_section, top_k=6),
+    })
+    assert main(["rca", "--config", rcfg, "--out", str(workdir / "rca6")]) == 2
 
 
 def test_seed_flag_overrides_config(workdir):

@@ -65,6 +65,7 @@ def test_gradients_accumulate_across_uses():
     (T.sqrt, (0.2, 3.0)),
     (T.square, (-2.0, 2.0)),
     (T.absolute, (0.3, 2.0)),
+    (lambda x: T.rows(x, 1, 3), (-2.0, 2.0)),
 ])
 def test_pointwise_ops_match_finite_differences(op, dom, rng):
     x0 = rng.uniform(*dom, size=(3, 4))
