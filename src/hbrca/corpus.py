@@ -4,15 +4,19 @@ A corpus file is a single text file: line 1 is a JSON metadata record,
 line 2 the CSV header ``sample,atom,t,<axes>``, and the payload one row
 per (sample, atom, t) in ascending order. Floats are written with 17
 significant digits so a save/load round trip is exact.
+
+Both directions work on whole blocks of rows: `serialize` formats
+_CHUNK_ROWS rows per %-format call, and `loads` reads the payload with
+numpy's C text reader and then validates it in bulk. Only when a bulk
+check fails does `_raise_first_bad_row` walk the rows one by one, to name
+the first line at fault.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,9 +38,29 @@ _META_REQUIRED = ("schema", "n_atoms", "n_steps", "n_dims", "dt", "atom_names",
 _META_OPTIONAL = ("regimes", "root_cause_nodes", "boundary_step", "roles",
                   "predicted")
 
+# rows per %-format call: bounds the tuple of values a call builds
+_CHUNK_ROWS = 4096
+
 
 def fmt_float(v: float) -> str:
     return f"{v:.17g}"
+
+
+def format_rows(row: str, *columns: np.ndarray) -> str:
+    """`row % values` for every row of `columns`, joined.
+
+    Each column is a 1-D array with one value per row, or a 2-D array with
+    one row per row. `row` holds one conversion per value and ends in a
+    newline; "%.17g" writes a float as `fmt_float` does.
+    """
+    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    n_rows = len(columns[0])
+    parts = []
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_rows)
+        block = np.concatenate([c[lo:hi].astype(object) for c in columns], axis=1)
+        parts.append((row * (hi - lo)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 @dataclass
@@ -105,26 +129,17 @@ def normalize(corpus: TrajectoryCorpus) -> TrajectoryCorpus:
     scale = float(np.max(np.abs(corpus.positions)))
     if scale == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero corpus")
-    return TrajectoryCorpus(
+    return replace(
+        corpus,
         positions=corpus.positions / scale,
-        atom_names=list(corpus.atom_names),
-        dt=corpus.dt,
         normalization_scale=corpus.normalization_scale * scale,
-        labels=corpus.labels,
-        roles=corpus.roles,
-        predicted=corpus.predicted,
     )
 
 
 def denormalize(corpus: TrajectoryCorpus) -> TrajectoryCorpus:
-    return TrajectoryCorpus(
-        positions=corpus.positions * corpus.normalization_scale,
-        atom_names=list(corpus.atom_names),
-        dt=corpus.dt,
+    return replace(
+        corpus, positions=corpus.positions * corpus.normalization_scale,
         normalization_scale=1.0,
-        labels=corpus.labels,
-        roles=corpus.roles,
-        predicted=corpus.predicted,
     )
 
 
@@ -179,15 +194,7 @@ def window_corpus(
                         labels.regimes[idx] = PERSIST
                     elif frac_pre <= separated_max:
                         labels.regimes[idx] = SEPARATED
-    return TrajectoryCorpus(
-        positions=stacked,
-        atom_names=list(corpus.atom_names),
-        dt=corpus.dt,
-        normalization_scale=corpus.normalization_scale,
-        labels=labels,
-        roles=corpus.roles,
-        predicted=corpus.predicted,
-    )
+    return replace(corpus, positions=stacked, labels=labels)
 
 
 # -- serialization ---------------------------------------------------------
@@ -214,21 +221,20 @@ def _metadata_dict(corpus: TrajectoryCorpus) -> dict:
     return meta
 
 
+def _row_keys(shape: tuple) -> np.ndarray:
+    """(sample, atom, t) of every payload row, in file order: [S*N*T, 3]."""
+    return np.indices(shape[:3]).reshape(3, -1).T
+
+
 def serialize(corpus: TrajectoryCorpus) -> str:
     if corpus.n_dims > len(_AXIS_NAMES):
         raise DataError(f"file format supports up to 3 dims, got {corpus.n_dims}")
-    out = io.StringIO()
-    out.write(json.dumps(_metadata_dict(corpus), sort_keys=True))
-    out.write("\n")
-    axes = _AXIS_NAMES[: corpus.n_dims]
-    out.write("sample,atom,t," + ",".join(axes) + "\n")
-    pos = corpus.positions
-    for s in range(corpus.n_samples):
-        for a in range(corpus.n_atoms):
-            for t in range(corpus.n_steps):
-                vals = ",".join(fmt_float(v) for v in pos[s, a, t])
-                out.write(f"{s},{a},{t},{vals}\n")
-    return out.getvalue()
+    head = (json.dumps(_metadata_dict(corpus), sort_keys=True) + "\n"
+            + "sample,atom,t," + ",".join(_AXIS_NAMES[: corpus.n_dims]) + "\n")
+    keys = _row_keys(corpus.positions.shape)
+    values = corpus.positions.reshape(len(keys), corpus.n_dims)
+    row = "%d,%d,%d," + ",".join(["%.17g"] * corpus.n_dims) + "\n"
+    return head + format_rows(row, keys, values)
 
 
 def save(corpus: TrajectoryCorpus, path) -> str:
@@ -266,15 +272,65 @@ def _parse_metadata(line: str) -> dict:
     return meta
 
 
+def _read_rows(lines, n_dims: int) -> np.ndarray:
+    """Payload lines as records (key [3] int64, pos [n_dims] float64).
+
+    numpy's C reader; raises ValueError on an unreadable row and skips
+    blank lines, so the record count can fall short of the line count.
+    """
+    dtype = np.dtype([("key", np.int64, (3,)), ("pos", np.float64, (n_dims,))])
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      quotechar=None, ndmin=1)
+
+
+def _rows_valid(table: np.ndarray, shape: tuple) -> bool:
+    """One record per line, keys in (sample, atom, t) order, finite values."""
+    return (np.array_equal(table["key"], _row_keys(shape))
+            and bool(np.isfinite(table["pos"]).all()))
+
+
+def _raise_first_bad_row(rows: list, shape: tuple):
+    """Error branch of `loads`: raise ParseError naming the first bad line.
+
+    Applies the checks of `_rows_valid` one row at a time, in file order:
+    field count, numpy's reader, key order, finiteness. Never returns.
+    """
+    _, n_atoms, n_steps, n_dims = shape
+    for i, row in enumerate(rows):
+        lineno = i + 3
+        n_fields = len(row.split(","))
+        if n_fields != 3 + n_dims:
+            raise ParseError(f"expected {3 + n_dims} fields, got {n_fields}", line=lineno)
+        try:
+            record = _read_rows([row], n_dims)[0]
+        except ValueError as exc:
+            raise ParseError(f"unreadable row: {exc}", line=lineno)
+        s, a, t = i // (n_atoms * n_steps), i // n_steps % n_atoms, i % n_steps
+        rs, ra, rt = (int(k) for k in record["key"])
+        if (rs, ra, rt) != (s, a, t):
+            raise ParseError(
+                f"row out of order: expected ({s},{a},{t}), got ({rs},{ra},{rt})",
+                line=lineno,
+            )
+        if not np.isfinite(record["pos"]).all():
+            raise ParseError("non-finite value", line=lineno)
+    raise ParseError("payload rows do not match the metadata")
+
+
 def loads(content: str) -> TrajectoryCorpus:
+    """Parse corpus text; every fault in it is a ParseError.
+
+    A fault confined to one line (a ragged or unreadable row, a key out
+    of order, a non-finite value) names that line.
+    """
     lines = content.splitlines()
     if len(lines) < 2:
         raise ParseError("file too short: expected metadata and header lines")
     meta = _parse_metadata(lines[0])
-    n_s_expected = None
-    n_atoms = int(meta["n_atoms"])
-    n_steps = int(meta["n_steps"])
-    n_dims = int(meta["n_dims"])
+    try:
+        n_atoms, n_steps, n_dims = (int(meta[k]) for k in ("n_atoms", "n_steps", "n_dims"))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"n_atoms, n_steps and n_dims must be integers: {exc}", line=1)
     if n_atoms < 1 or n_steps < 1:
         raise ParseError("n_atoms and n_steps must be positive", line=1)
     if not 1 <= n_dims <= 3:
@@ -285,68 +341,52 @@ def loads(content: str) -> TrajectoryCorpus:
         raise ParseError(
             f"bad CSV header: expected '{expected_header}', got '{lines[1]}'", line=2
         )
-    rows = lines[2:]
-    if len(rows) % (n_atoms * n_steps) != 0 or not rows:
+    del lines[:2]  # the payload rows; line numbers start at 3
+    if len(lines) % (n_atoms * n_steps) != 0 or not lines:
         raise ParseError(
-            f"payload has {len(rows)} rows, not a multiple of "
+            f"payload has {len(lines)} rows, not a multiple of "
             f"n_atoms*n_steps = {n_atoms * n_steps}"
         )
-    n_samples = len(rows) // (n_atoms * n_steps)
-    n_s_expected = n_samples
-    positions = np.empty((n_samples, n_atoms, n_steps, n_dims))
-    row_iter = iter(enumerate(rows, start=3))
-    for s in range(n_samples):
-        for a in range(n_atoms):
-            for t in range(n_steps):
-                lineno, row = next(row_iter)
-                parts = row.split(",")
-                if len(parts) != 3 + n_dims:
-                    raise ParseError(
-                        f"expected {3 + n_dims} fields, got {len(parts)}", line=lineno
-                    )
-                try:
-                    rs, ra, rt = int(parts[0]), int(parts[1]), int(parts[2])
-                    vals = [float(p) for p in parts[3:]]
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno)
-                if (rs, ra, rt) != (s, a, t):
-                    raise ParseError(
-                        f"row out of order: expected ({s},{a},{t}), got ({rs},{ra},{rt})",
-                        line=lineno,
-                    )
-                if not all(math.isfinite(v) for v in vals):
-                    raise ParseError("non-finite value", line=lineno)
-                positions[s, a, t] = vals
-    labels = None
-    if "regimes" in meta or "boundary_step" in meta or "root_cause_nodes" in meta:
-        regimes = {}
-        for k, v in meta.get("regimes", {}).items():
-            if v not in (PERSIST, SEPARATED):
-                raise ParseError(f"unknown regime label '{v}'", line=1)
-            regimes[int(k)] = v
-        labels = RegimeLabels(
-            regimes=regimes,
-            root_cause_nodes=set(meta.get("root_cause_nodes", [])),
-            boundary_step=meta.get("boundary_step"),
-        )
-        bad = [i for i in labels.root_cause_nodes if not 0 <= i < n_atoms]
-        if bad:
-            raise ParseError(f"root cause nodes out of range: {bad}", line=1)
-    names = [str(n) for n in meta["atom_names"]]
-    if len(names) != n_atoms:
-        raise ParseError("atom_names length does not match n_atoms", line=1)
-    corpus = TrajectoryCorpus(
+    shape = (len(lines) // (n_atoms * n_steps), n_atoms, n_steps, n_dims)
+    try:
+        table = _read_rows(lines, n_dims)
+    except ValueError:
+        table = None
+    if table is None or not _rows_valid(table, shape):
+        _raise_first_bad_row(lines, shape)
+    del lines
+    positions = table["pos"].reshape(shape)
+    try:
+        labels = None
+        if "regimes" in meta or "boundary_step" in meta or "root_cause_nodes" in meta:
+            regimes = {}
+            for k, v in meta.get("regimes", {}).items():
+                if v not in (PERSIST, SEPARATED):
+                    raise ParseError(f"unknown regime label '{v}'", line=1)
+                regimes[int(k)] = v
+            labels = RegimeLabels(
+                regimes=regimes,
+                root_cause_nodes=set(meta.get("root_cause_nodes", [])),
+                boundary_step=meta.get("boundary_step"),
+            )
+            bad = [i for i in labels.root_cause_nodes if not 0 <= i < n_atoms]
+            if bad:
+                raise ParseError(f"root cause nodes out of range: {bad}", line=1)
+        names = [str(n) for n in meta["atom_names"]]
+        if len(names) != n_atoms:
+            raise ParseError("atom_names length does not match n_atoms", line=1)
+        dt, scale = float(meta["dt"]), float(meta["normalization_scale"])
+    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ParseError(f"malformed metadata: {exc}", line=1)
+    return TrajectoryCorpus(
         positions=positions,
         atom_names=names,
-        dt=float(meta["dt"]),
-        normalization_scale=float(meta["normalization_scale"]),
+        dt=dt,
+        normalization_scale=scale,
         labels=labels,
         roles=meta.get("roles"),
         predicted=bool(meta.get("predicted", False)),
     )
-    if corpus.n_samples != n_s_expected or corpus.n_steps != n_steps:
-        raise ParseError("metadata does not match payload extent")
-    return corpus
 
 
 def load(path) -> TrajectoryCorpus:
@@ -376,10 +416,13 @@ class SplitSpec:
 
 def split_windows(corpus: TrajectoryCorpus, spec: SplitSpec):
     """Disjoint, exhaustive index split, reproducible from (spec, corpus hash)."""
-    digest = corpus_hash(corpus)
+    return _split_indices(corpus.n_samples, spec, corpus_hash(corpus))
+
+
+def _split_indices(n: int, spec: SplitSpec, digest: str):
+    """`split_windows` for n windows of the corpus whose hash is `digest`."""
     rng = substream(spec.seed, "split", int(digest[:16], 16))
-    order = rng.permutation(corpus.n_samples)
-    n = corpus.n_samples
+    order = rng.permutation(n)
     n_train = int(n * spec.train)
     n_val = int(n * spec.val)
     train = np.sort(order[:n_train])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TrajectoryCorpus, fmt_float
+from .corpus import TrajectoryCorpus, fmt_float, format_rows
 from .errors import ParameterError
 from .model import predict_windows
 
@@ -25,17 +25,23 @@ class MetricSeries:
     values: np.ndarray
 
 
+def _check_trajectory(traj: np.ndarray) -> None:
+    if traj.ndim not in (3, 4):
+        raise ParameterError(f"expected [N, T, D] or [S, N, T, D], got {traj.shape}")
+
+
 def displacement(traj: np.ndarray) -> np.ndarray:
     """Distance from the first step, averaged over atoms, per step.
 
     For an [N, T, D] trajectory returns [T]; the per-atom Euclidean
     displacement ||r_t(i) - r_0(i)|| is averaged over atoms so a
-    single-atom system reduces to the plain distance.
+    single-atom system reduces to the plain distance. A stack of S
+    trajectories [S, N, T, D] gives [S, T], each row bitwise equal to
+    that trajectory's own result.
     """
-    if traj.ndim != 3:
-        raise ParameterError(f"expected [N, T, D], got {traj.shape}")
-    per_atom = np.linalg.norm(traj - traj[:, :1, :], axis=-1)
-    return per_atom.mean(axis=0)
+    _check_trajectory(traj)
+    per_atom = np.linalg.norm(traj - traj[..., :1, :], axis=-1)
+    return per_atom.mean(axis=-2)
 
 
 def _time_deviation(traj: np.ndarray) -> np.ndarray:
@@ -46,26 +52,24 @@ def _time_deviation(traj: np.ndarray) -> np.ndarray:
     that never moves: a float mean such as that of 1.7 repeated does not
     round-trip, while the mean of exact zeros does.
     """
-    d = traj - traj[:, :1, :]
-    return d - d.mean(axis=1, keepdims=True)
+    d = traj - traj[..., :1, :]
+    return d - d.mean(axis=-2, keepdims=True)
 
 
 def rmsf_over_atoms(traj: np.ndarray) -> np.ndarray:
-    """Spread across atoms at each step: [T] values.
+    """Spread across atoms at each step: [T] values ([S, T] for a stack).
 
     sqrt(mean over atoms of ||r_t(i) - rbar(i)||^2) with rbar(i) the
     time mean of atom i.
     """
-    if traj.ndim != 3:
-        raise ParameterError(f"expected [N, T, D], got {traj.shape}")
-    return np.sqrt((_time_deviation(traj) ** 2).sum(axis=-1).mean(axis=0))
+    _check_trajectory(traj)
+    return np.sqrt((_time_deviation(traj) ** 2).sum(axis=-1).mean(axis=-2))
 
 
 def rmsf_over_time(traj: np.ndarray) -> np.ndarray:
-    """Per-atom fluctuation about its own time mean: [N] values."""
-    if traj.ndim != 3:
-        raise ParameterError(f"expected [N, T, D], got {traj.shape}")
-    return np.sqrt((_time_deviation(traj) ** 2).sum(axis=-1).mean(axis=1))
+    """Per-atom fluctuation about its own time mean: [N] values ([S, N])."""
+    _check_trajectory(traj)
+    return np.sqrt((_time_deviation(traj) ** 2).sum(axis=-1).mean(axis=-1))
 
 
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -140,51 +144,41 @@ def sweep_csv(rows: list, path=None) -> str:
 # -- plot-ready exports --------------------------------------------------------
 
 
-def _series_csv(header: str, rows: list) -> str:
-    out = io.StringIO()
-    out.write(header + "\n")
-    for row in rows:
-        out.write(",".join(str(r) if isinstance(r, int) else fmt_float(r) for r in row))
-        out.write("\n")
-    return out.getvalue()
+def _column_means(per_sample: np.ndarray) -> np.ndarray:
+    """Mean over samples of each column of [S, K], one column at a time.
+
+    A per-column mean sums its S values pairwise; the axis-0 mean of the
+    whole array would sum them in sequence, and round differently.
+    """
+    return np.array([per_sample[:, k].mean() for k in range(per_sample.shape[1])])
 
 
 def displacement_csv(truth: TrajectoryCorpus, pred: TrajectoryCorpus) -> str:
     """Per-sample displacement series plus the across-sample mean."""
-    rows = []
-    d_truth = np.stack([displacement(truth.positions[s]) for s in range(truth.n_samples)])
-    d_pred = np.stack([displacement(pred.positions[s]) for s in range(pred.n_samples)])
-    for s in range(truth.n_samples):
-        for t in range(truth.n_steps):
-            rows.append((s, t, d_truth[s, t], d_pred[s, t]))
-    content = _series_csv("sample,t,truth,predicted", rows)
-    mean_rows = [
-        (t, float(d_truth[:, t].mean()), float(d_pred[:, t].mean()))
-        for t in range(truth.n_steps)
-    ]
-    content += _series_csv("t,truth_mean,predicted_mean", mean_rows)
-    return content
+    d_truth = displacement(truth.positions)
+    d_pred = displacement(pred.positions)
+    s, t = np.indices(d_truth.shape).reshape(2, -1)
+    steps = np.arange(truth.n_steps)
+    return (
+        "sample,t,truth,predicted\n"
+        + format_rows("%d,%d,%.17g,%.17g\n", s, t, d_truth.ravel(), d_pred.ravel())
+        + "t,truth_mean,predicted_mean\n"
+        + format_rows("%d,%.17g,%.17g\n", steps, _column_means(d_truth),
+                      _column_means(d_pred))
+    )
 
 
 def rmsf_time_csv(truth: TrajectoryCorpus, pred: TrajectoryCorpus) -> str:
-    r_truth = np.stack([rmsf_over_atoms(truth.positions[s]) for s in range(truth.n_samples)])
-    r_pred = np.stack([rmsf_over_atoms(pred.positions[s]) for s in range(pred.n_samples)])
-    rows = [
-        (t, float(r_truth[:, t].mean()), float(r_pred[:, t].mean()))
-        for t in range(truth.n_steps)
-    ]
-    return _series_csv("t,truth,predicted", rows)
+    return "t,truth,predicted\n" + format_rows(
+        "%d,%.17g,%.17g\n", np.arange(truth.n_steps),
+        _column_means(rmsf_over_atoms(truth.positions)),
+        _column_means(rmsf_over_atoms(pred.positions)),
+    )
 
 
 def rmsf_atom_csv(truth: TrajectoryCorpus, pred: TrajectoryCorpus) -> str:
-    r_truth = np.stack([rmsf_over_time(truth.positions[s]) for s in range(truth.n_samples)])
-    r_pred = np.stack([rmsf_over_time(pred.positions[s]) for s in range(pred.n_samples)])
-    rows = [
-        (truth.atom_names[i], float(r_truth[:, i].mean()), float(r_pred[:, i].mean()))
-        for i in range(truth.n_atoms)
-    ]
-    out = io.StringIO()
-    out.write("atom,truth,predicted\n")
-    for name, tv, pv in rows:
-        out.write(f"{name},{fmt_float(tv)},{fmt_float(pv)}\n")
-    return out.getvalue()
+    return "atom,truth,predicted\n" + format_rows(
+        "%s,%.17g,%.17g\n", np.asarray(truth.atom_names, dtype=object),
+        _column_means(rmsf_over_time(truth.positions)),
+        _column_means(rmsf_over_time(pred.positions)),
+    )

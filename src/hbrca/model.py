@@ -7,7 +7,7 @@ change any output, only peak memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,12 +125,4 @@ def predict_corpus(
     """Predicted corpus: step 0 is the observed state, the rest rollout."""
     preds = predict_windows(model, corpus.positions, tau, seed)
     full = np.concatenate([corpus.positions[:, :, :1, :], preds], axis=2)
-    return TrajectoryCorpus(
-        positions=full,
-        atom_names=list(corpus.atom_names),
-        dt=corpus.dt,
-        normalization_scale=corpus.normalization_scale,
-        labels=corpus.labels,
-        roles=corpus.roles,
-        predicted=True,
-    )
+    return replace(corpus, positions=full, predicted=True)

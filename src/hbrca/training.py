@@ -16,12 +16,14 @@ import base64
 import copy
 import io
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import SplitSpec, TrajectoryCorpus, corpus_hash, fmt_float, split_windows
+from .corpus import SplitSpec, TrajectoryCorpus, _split_indices, corpus_hash, fmt_float
 from .decoder import rollout_train
 from .encoder import EdgePosterior, encode_logits
 from .errors import ConfigError, NumericalError, ParameterError
@@ -55,6 +57,13 @@ class TrainConfig:
     sparsity_mode: str = L1
 
     def __post_init__(self):
+        for name in ("k", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
+                or not math.isfinite(self.lr) or self.lr <= 0):
+            raise ParameterError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.tau <= 0:
             raise ParameterError("tau must be positive")
         if min(self.lambda_kl, self.lambda_rec, self.lambda_sparse) <= 0:
@@ -358,12 +367,12 @@ def train(
     """
     if split is None:
         split = SplitSpec(seed=config.seed)
-    train_idx, val_idx, _ = split_windows(corpus, split)
+    digest = corpus_hash(corpus)
+    train_idx, val_idx, _ = _split_indices(corpus.n_samples, split, digest)
     if len(train_idx) == 0:
         raise ParameterError("empty training split")
     if len(val_idx) == 0:
         val_idx = train_idx
-    digest = corpus_hash(corpus)
     windows = corpus.positions
     init_rng = substream(config.seed, "init")
     model = ModelParams.create(init_rng, corpus.n_steps, corpus.n_dims)

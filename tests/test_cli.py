@@ -182,6 +182,9 @@ def test_unknown_config_key_gives_exit_2(workdir):
     ("config", {"epochs": "x"}),
     ("config", {"mystery": 1}),
     ("split", {"train": 0.5, "val": 0.1, "test": 0.1}),
+    ("config", {"lr": "x"}),
+    ("config", {"lr": 0}),
+    ("config", {"lr": -1e-3}),
 ])
 def test_bad_train_section_value_gives_exit_2(workdir, key, value, capsys):
     gen_dir = workdir / "gen"

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbrca.corpus as corpus_mod
 from hbrca.corpus import (
     RegimeLabels,
     SplitSpec,
@@ -19,6 +22,7 @@ from hbrca.corpus import (
     window_corpus,
 )
 from hbrca.errors import DegenerateInputError, ParameterError, ParseError
+from hbrca.training import TrainConfig, train
 
 
 def make_corpus(positions, **kw):
@@ -211,6 +215,117 @@ def test_serialization_round_trip_is_exact(seed):
     rng = np.random.default_rng(seed)
     c = make_corpus(rng.normal(scale=100.0, size=(1, 2, 3, 2)))
     assert np.array_equal(loads(serialize(c)).positions, c.positions)
+
+
+def reference_payload(positions):
+    """The payload one row at a time: keys as ints, values at 17 digits."""
+    s_n, n_n, t_n, _ = positions.shape
+    out = []
+    for s in range(s_n):
+        for a in range(n_n):
+            for t in range(t_n):
+                vals = ",".join(f"{v:.17g}" for v in positions[s, a, t])
+                out.append(f"{s},{a},{t},{vals}\n")
+    return "".join(out)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 1e16, 0.1]
+
+
+@st.composite
+def corpora(draw):
+    shape = tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(4))
+    values = st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-10**6, max_value=10**6).map(float),
+    )
+    flat = draw(st.lists(values, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return make_corpus(np.array(flat, dtype=float).reshape(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora())
+def test_serialize_matches_row_by_row_reference_bytes(c):
+    head, header, payload = serialize(c).split("\n", 2)
+    assert json.loads(head)["n_dims"] == c.n_dims
+    assert header == "sample,atom,t," + ",".join("xyz"[: c.n_dims])
+    assert payload == reference_payload(c.positions)
+    back = loads(serialize(c)).positions
+    assert np.array_equal(back.view(np.uint64), c.positions.view(np.uint64))
+
+
+def test_serialize_matches_reference_across_format_chunks():
+    rng = np.random.default_rng(1)
+    c = make_corpus(rng.normal(size=(3, 2, 1500, 2)))  # 9000 rows: three chunks
+    assert serialize(c).split("\n", 2)[2] == reference_payload(c.positions)
+    assert np.array_equal(loads(serialize(c)).positions, c.positions)
+
+
+HEAD = ('{"schema": 1, "n_atoms": 1, "n_steps": 2, "n_dims": 3, "dt": 1.0, '
+        '"atom_names": ["A"], "normalization_scale": 1.0%s}\n')
+GOOD_ROWS = "0,0,0,1,2,3\n0,0,1,4,5,6\n"
+
+
+def payload(rows=GOOD_ROWS, meta="", header="sample,atom,t,x,y,z"):
+    return HEAD % meta + header + "\n" + rows
+
+
+def test_table_base_payload_parses():
+    c = loads(payload(meta=', "regimes": {"0": "persist"}, "root_cause_nodes": [0]'))
+    assert c.positions.ravel().tolist() == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("content,line", [
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,5\n"), 4),              # ragged row
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,5,6,7\n"), 4),          # one field too many
+    (payload(rows="0,0,0,1,2,3\n\n"), 4),                       # blank row
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,nan,6\n"), 4),
+    (payload(rows="0,0,0,inf,2,3\n0,0,1,4,5,6\n"), 3),
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,-inf,6\n"), 4),
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,1e999,6\n"), 4),        # overflows to inf
+    (payload(rows="0,0,1,1,2,3\n0,0,0,4,5,6\n"), 3),            # keys out of order
+    (payload(rows="0,0,0,1,2,3\n0,1,1,4,5,6\n"), 4),            # atom key wrong
+    (payload(rows="0,0,0,1,2,3\n0,0,1.0,4,5,6\n"), 4),          # float key
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,x,6\n"), 4),            # not a number
+    (payload(header="sample,atom,t,x,y"), 2),
+    (payload(rows=""), None),                                   # empty payload
+    ("", None),
+    (payload(rows=GOOD_ROWS + "0,0,2,7,8,9\n"), None),          # wrong row count
+    (payload(meta=', "regimes": {"0": "boiling"}'), 1),
+    (payload(meta=', "root_cause_nodes": [1]'), 1),
+    (payload(meta=', "mystery": 1'), 1),
+    # rejected since the bulk reader: Python's float() takes "1_0", and
+    # mistyped metadata raised TypeError/ValueError/AttributeError
+    (payload(rows="0,0,0,1,2,3\n0,0,1,4,1_0,6\n"), 4),
+    (payload().replace('"n_steps": 2', '"n_steps": "two"'), 1),
+    (payload(meta=', "regimes": ["persist"]'), 1),
+    (payload(meta=', "regimes": {"zero": "persist"}'), 1),
+    (payload(meta=', "root_cause_nodes": ["0"]'), 1),
+])
+def test_bad_corpus_text_names_its_line(content, line):
+    with pytest.raises(ParseError) as err:
+        loads(content)
+    assert err.value.line == line
+
+
+def test_train_hashes_the_corpus_once(monkeypatch):
+    rng = np.random.default_rng(2)
+    c = make_corpus(rng.normal(size=(8, 3, 4, 2)))
+    calls = []
+    real = corpus_mod.serialize
+
+    def counting(corpus):
+        calls.append(corpus)
+        return real(corpus)
+
+    monkeypatch.setattr(corpus_mod, "serialize", counting)
+    config = TrainConfig(tau=0.5, lr=1e-3, prior=(0.6, 0.2, 0.2), k=2, epochs=1,
+                         batch_size=4, seed=5)
+    ckpt = train(config, c)
+    assert len(calls) == 1
+    assert ckpt.corpus_hash == corpus_hash(c)
 
 
 # -- splits -----------------------------------------------------------------------

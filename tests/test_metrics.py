@@ -159,3 +159,16 @@ def test_plot_csv_exports(rng):
     assert rt.startswith("t,truth,predicted\n")
     ra = rmsf_atom_csv(truth, pred)
     assert ra.splitlines()[1].startswith("A00,")
+
+
+@pytest.mark.parametrize("shape", [(7, 3, 5, 3), (4, 2, 13, 1), (5, 6, 9, 2), (3, 1, 2, 3)])
+def test_stacked_metrics_equal_per_trajectory_bitwise(rng, shape):
+    """The CSV exports compute on the whole stack; each row must be the
+    single-trajectory result to the last bit."""
+    stack = rng.normal(scale=30.0, size=shape)
+    stack[0, 0] = 1.7  # one atom that never moves
+    for fn in (displacement, rmsf_over_atoms, rmsf_over_time):
+        one_by_one = np.stack([fn(traj) for traj in stack])
+        assert np.array_equal(fn(stack).view(np.uint64), one_by_one.view(np.uint64))
+    with pytest.raises(ParameterError):
+        displacement(stack[0, 0])
