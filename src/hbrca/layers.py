@@ -3,6 +3,14 @@
 Every message-passing map in the model is a 2-layer perceptron with a
 fixed activation, optionally followed by batch normalization over the
 row axis (rows are batch-of-entities: atoms or ordered pairs).
+
+`Mlp2` computes layer 1's pre-activation x W1 + b1 (per node and then
+gathered, in `forward_pairs`) and hands it to `tensor.mlp2`, one tape
+node that applies both activations and layer 2 with a hand-written
+backward. Batch norm follows as one more node in either mode. From the
+pre-activation on, a perceptron thus adds one node to the tape instead
+of four, and keeps two pair-sized arrays (hidden activation and output)
+instead of up to eight.
 """
 
 from __future__ import annotations
@@ -63,8 +71,7 @@ class BatchNorm:
             self.running_var = (1 - m) * self.running_var + m * var
             return out
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        xhat = T.mul(T.sub(x, self.running_mean), inv)
-        return T.add(T.mul(xhat, self.gamma), self.beta)
+        return T.batchnorm_eval(x, self.gamma, self.beta, self.running_mean, inv)
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -130,10 +137,8 @@ class Mlp2:
         return self._rest(T.add(send, T.repeat_rows(recv, fan)), training)
 
     def _rest(self, pre: T.Tensor, training: bool) -> T.Tensor:
-        """Everything after layer 1's pre-activation: activations, layer 2, norm."""
-        act = T.elu if self.activation == "elu" else T.relu
-        h = act(pre)
-        h = act(T.add(T.matmul(h, self.w2), self.b2))
+        """Everything after layer 1's pre-activation: one fused node, then norm."""
+        h = T.mlp2(pre, self.w2, self.b2, self.activation)
         if self.bn is not None:
             h = self.bn.forward(h, training)
         T.assert_finite(h.data, "mlp2 output")

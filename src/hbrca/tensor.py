@@ -3,10 +3,19 @@
 A Tensor wraps an ndarray plus an optional tape node (parents and a
 backward closure). Calling backward() on a scalar loss walks the tape in
 reverse topological order and accumulates gradients into every tensor
-created with requires_grad=True.
+created with requires_grad=True. A tape is differentiated once: backward()
+unlinks it as it goes, so nothing the loss still references keeps it alive.
 
 Only the operations this package composes are provided; everything is
 float64 and single-threaded apart from whatever BLAS does inside matmul.
+
+Elementwise kernels on pair-sized arrays never select with np.where on a
+data-dependent mask: np.where(z > 0, z, 0.0) took 1.07 ms on a 2880x64
+array where np.maximum(z, 0.0) took 0.11 ms (about 10x; numpy 2.4.6, one
+thread of a 2-vCPU Xeon VM) and gives the same bits, +0.0 at z = -0.0
+included. The perceptron and batch-norm nodes are fused for the same
+reason: each elementwise pass over a pair-sized array, and each fresh
+buffer it allocates, costs about as much as a small GEMM.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import AbsentGradientError, DimensionError, NumericalError
+from .errors import AbsentGradientError, DimensionError, NumericalError, ParameterError
 
 _grad_enabled = True
 
@@ -113,18 +122,24 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-                # interior activations are not needed once consumed
-                if node._parents:
-                    node.grad = None
+                # a loss kept past its training step would otherwise hold
+                # its whole tape through the next step's forward pass
+                node.grad = None
+                node._backward = None
+                node._parents = ()
 
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents) -> bool:
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -232,31 +247,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- pointwise nonlinearities --------------------------------------------
-
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask, owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def elu(a, alpha: float = 1.0) -> Tensor:
-    a = _wrap(a)
-    mask = a.data > 0.0
-    expm1 = alpha * np.expm1(np.minimum(a.data, 0.0))
-    out_data = np.where(mask, a.data, expm1)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.where(mask, 1.0, expm1 + alpha), owned=True)
-
-    return _node(out_data, (a,), backward)
 
 
 def exp(a) -> Tensor:
@@ -439,7 +429,71 @@ def segment_sum_rows(a, group: int) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-# -- fused normalization ----------------------------------------------------
+# -- fused perceptron and normalization ---------------------------------
+#
+# Activation kernels take an optional `out` (pass the input to work in
+# place) and never select with np.where. Each slope is read back from the
+# activation's output, so a node keeps no mask or expm1 buffer.
+
+
+def _relu(z: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
+
+
+def _relu_slope(y: np.ndarray) -> np.ndarray:
+    # relu(z) > 0 exactly where z > 0
+    return y > 0.0
+
+
+def _elu(z: np.ndarray, out=None) -> np.ndarray:
+    """ELU (alpha 1) as e + max(z, 0), e = expm1(min(z, 0)): e is exactly 0
+    where z > 0, so this is the two-branch form bit for bit."""
+    e = np.minimum(z, 0.0)
+    np.expm1(e, out=e)
+    y = np.maximum(z, 0.0, out=out)
+    y += e
+    return y
+
+
+def _elu_slope(y: np.ndarray) -> np.ndarray:
+    # min(elu(z), 0) is e, and the slope is e + 1 on both sides of 0
+    slope = np.minimum(y, 0.0)
+    slope += 1.0
+    return slope
+
+
+_ACTIVATIONS = {"elu": (_elu, _elu_slope), "relu": (_relu, _relu_slope)}
+
+
+def mlp2(pre, w2, b2, activation: str) -> Tensor:
+    """act(act(pre) @ w2 + b2) as one node, `pre` being layer 1's
+    pre-activation.
+
+    The node keeps the hidden activation and its output, nothing else;
+    the backward works in place on its own gradient buffer. The bias add
+    stays out of place: on 2880x64 rows it measured faster than an
+    in-place broadcast add.
+    """
+    if activation not in _ACTIVATIONS:
+        raise ParameterError(f"unknown activation '{activation}'")
+    act, slope = _ACTIVATIONS[activation]
+    pre, w2, b2 = _wrap(pre), _wrap(w2), _wrap(b2)
+    hidden = act(pre.data)
+    out_data = hidden @ w2.data + b2.data
+    act(out_data, out=out_data)
+
+    def backward(g):
+        g *= slope(out_data)
+        if b2.requires_grad:
+            b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+        if w2.requires_grad:
+            w2._accumulate(hidden.T @ g, owned=True)
+        if pre.requires_grad:
+            dh = g @ w2.data.T
+            dh *= slope(hidden)
+            pre._accumulate(dh, owned=True)
+
+    return _node(out_data, (pre, w2, b2), backward)
 
 
 def batchnorm_rows(x, gamma, beta, eps: float):
@@ -450,13 +504,46 @@ def batchnorm_rows(x, gamma, beta, eps: float):
     with mean/var as plain arrays for running-statistic updates.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    rows = x.data.shape[0]
     mean = x.data.mean(axis=0, keepdims=True)
-    centered = x.data - mean
-    var = np.mean(centered * centered, axis=0, keepdims=True)
+    xhat = x.data - mean
+    sq = xhat * xhat
+    var = np.mean(sq, axis=0, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    out_data = np.multiply(xhat, gamma.data, out=sq)
+    out_data += beta.data
+
+    def backward(g):
+        tmp = g * xhat
+        if gamma.requires_grad:
+            gamma._accumulate(tmp.sum(axis=0, keepdims=True), owned=True)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+        if x.requires_grad:
+            g *= gamma.data  # dL/dxhat
+            np.multiply(g, xhat, out=tmp)
+            proj = tmp.mean(axis=0, keepdims=True)
+            g -= g.mean(axis=0, keepdims=True)
+            g -= np.multiply(xhat, proj, out=tmp)
+            g *= inv
+            x._accumulate(g, owned=True)
+
+    out = _node(out_data, (x, gamma, beta), backward)
+    return out, mean, var
+
+
+def batchnorm_eval(x, gamma, beta, mean: np.ndarray, inv: np.ndarray) -> Tensor:
+    """(x - mean) * inv * gamma + beta with fixed statistics, as one node
+    evaluated left to right in place. `xhat` is kept only when recording."""
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    xhat = x.data - mean
+    xhat *= inv
+    if not _records((x, gamma, beta)):
+        xhat *= gamma.data
+        xhat += beta.data
+        return Tensor(xhat)
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g):
         if gamma.requires_grad:
@@ -464,13 +551,11 @@ def batchnorm_rows(x, gamma, beta, eps: float):
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
         if x.requires_grad:
-            dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=0, keepdims=True)
-            term -= xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
-            x._accumulate(term * inv, owned=True)
+            g *= gamma.data
+            g *= inv
+            x._accumulate(g, owned=True)
 
-    out = _node(out_data, (x, gamma, beta), backward)
-    return out, mean, var
+    return _node(out_data, (x, gamma, beta), backward)
 
 
 # -- softmax --------------------------------------------------------------

@@ -35,26 +35,30 @@ def directional_difference(f, param_data: np.ndarray, direction: np.ndarray,
 
 
 class ReluPatterns:
-    """Sign pattern of every `hbrca.tensor.relu` input, as evaluated.
+    """Sign pattern of every ReLU input, as evaluated.
 
-    Installed with pytest's monkeypatch, so the program under test has
-    no hook for it. `take()` returns the patterns recorded since the
-    last call, in evaluation order.
+    A ReLU perceptron is one `hbrca.tensor.mlp2` node with two ReLUs: one
+    on its `pre` argument and one on layer 2's pre-activation. Both sign
+    patterns are recorded, the second read from the output (relu(z) > 0
+    exactly where z > 0). Installed with pytest's monkeypatch, so the
+    program under test has no hook for it. `take()` returns the patterns
+    recorded since the last call, in evaluation order.
     """
 
     def __init__(self, monkeypatch):
         from hbrca import tensor
 
         self._patterns = []
-        relu = tensor.relu
+        mlp2 = tensor.mlp2
 
-        def recording_relu(a):
-            out = relu(a)
-            # relu(x) > 0 exactly where x > 0
-            self._patterns.append(out.data > 0.0)
+        def recording_mlp2(pre, w2, b2, activation):
+            out = mlp2(pre, w2, b2, activation)
+            if activation == "relu":
+                self._patterns.append(pre.data > 0.0)
+                self._patterns.append(out.data > 0.0)
             return out
 
-        monkeypatch.setattr(tensor, "relu", recording_relu)
+        monkeypatch.setattr(tensor, "mlp2", recording_mlp2)
 
     def take(self) -> list:
         patterns, self._patterns = self._patterns, []

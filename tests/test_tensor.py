@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,18 @@ def test_no_grad_suppresses_tape():
     assert y._backward is None and not y.requires_grad
 
 
+def test_backward_releases_the_tape(rng):
+    """A loss kept after backward() holds no tape: training would otherwise
+    keep one step's activations alive through the next step's forward."""
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    loss = T.tsum(T.square(T.mul(x, 2.0)))
+    inner = weakref.ref(loss._parents[0].data)
+    loss.backward()
+    assert loss._parents == () and loss._backward is None
+    assert inner() is None
+    assert np.allclose(x.grad, 8.0 * x.data)
+
+
 def test_gradients_accumulate_across_uses():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = T.add(T.mul(x, 3.0), T.square(x))  # 3x + x^2 -> dy/dx = 3 + 2x = 7
@@ -57,9 +71,23 @@ def test_gradients_accumulate_across_uses():
     assert np.allclose(x.grad, [7.0])
 
 
+# The activations are only reachable through the fused perceptron node;
+# these cases run it with a fixed layer 2, [3, 4] -> [3, 5].
+_W2 = np.random.default_rng(5).normal(size=(4, 5))
+_B2 = np.random.default_rng(6).normal(size=(1, 5))
+
+
+def relu(x):
+    return T.mlp2(x, _W2, _B2, "relu")
+
+
+def elu(x):
+    return T.mlp2(x, _W2, _B2, "elu")
+
+
 @pytest.mark.parametrize("op,dom", [
-    (T.relu, (-2.0, 2.0)),
-    (T.elu, (-2.0, 2.0)),
+    (relu, (-2.0, 2.0)),
+    (elu, (-2.0, 2.0)),
     (T.exp, (-1.5, 1.5)),
     (T.log, (0.2, 3.0)),
     (T.sqrt, (0.2, 3.0)),
@@ -92,7 +120,7 @@ def test_composite_graph_matches_finite_differences(rng):
         recv = T.repeat_rows(x, n - 1)
         send = T.permute_rows(recv, sigma, sigma)
         pair = T.concat([send, recv], axis=1)
-        h = T.elu(T.matmul(pair, w))
+        h = T.mlp2(T.matmul(pair, w), np.eye(5), np.zeros((1, 5)), "elu")
         y = T.softmax_rows(h)
         agg = T.segment_sum_rows(T.log(T.add(y, 0.1)), n - 1)
         loss = T.tmean(T.square(agg))
