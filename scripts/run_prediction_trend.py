@@ -2,45 +2,34 @@
 
 Windows a 10,000-step synthetic corpus at several lengths T, trains a
 prediction-phase model per T and reports test MSE/MAE per T (shorter
-windows should not be harder).
+windows should not be harder). The sweep is `hbrca.experiments.prediction_trend`,
+which acceptance criterion 6 runs too.
 
 Usage: python scripts/run_prediction_trend.py [out_dir] [epochs]
 """
 
+import os
 import sys
 import time
 
-from hbrca.corpus import SplitSpec, split_windows, window_corpus
-from hbrca.experiments import build_trend_corpus
-from hbrca.metrics import mae, mse, sweep_csv
-from hbrca.model import predict_windows
-from hbrca.training import TrainConfig, train
-
-T_VALUES = (50, 25, 10, 5)
+from hbrca.experiments import prediction_trend
+from hbrca.metrics import sweep_csv
 
 
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
     epochs = int(sys.argv[2]) if len(sys.argv) > 2 else 25
-    long_corpus = build_trend_corpus(seed=11)
-    rows = []
-    for t_window in sorted(T_VALUES, reverse=True):
-        t0 = time.time()
-        corpus = window_corpus(long_corpus, t_window)
-        config = TrainConfig.prediction(t_window, epochs=epochs, seed=11)
-        ckpt = train(config, corpus, SplitSpec(seed=11))
-        model = ckpt.build_model()
-        _, _, test_idx = split_windows(corpus, SplitSpec(seed=11))
-        test = corpus.positions[test_idx]
-        preds = predict_windows(model, test, config.tau, seed=77)
-        truth = test[:, :, 1:, :]
-        rows.append((t_window, corpus.n_samples, mse(preds, truth), mae(preds, truth)))
-        print(
-            f"T={t_window}: {time.time() - t0:5.1f}s samples={corpus.n_samples} "
-            f"mse={rows[-1][2]:.5f} mae={rows[-1][3]:.5f}",
-            flush=True,
-        )
-    print(sweep_csv(rows, f"{out_dir}/prediction_trend.csv"))
+    os.makedirs(out_dir, exist_ok=True)
+    started = [time.time()]
+
+    def log(row):
+        t_window, samples, err_mse, err_mae = row
+        print(f"T={t_window}: {time.time() - started[0]:5.1f}s samples={samples} "
+              f"mse={err_mse:.5f} mae={err_mae:.5f}", flush=True)
+        started[0] = time.time()
+
+    rows = prediction_trend(epochs, log=log)
+    print(sweep_csv(rows, os.path.join(out_dir, "prediction_trend.csv")))
 
 
 if __name__ == "__main__":

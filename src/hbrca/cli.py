@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -19,7 +18,7 @@ import sys
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .encoder import export_posterior_csv
-from .errors import ConfigError, DataError, HbrcaError, NumericalError, ParameterError
+from .errors import ConfigError, DataError, HbrcaError, NumericalError, ParameterError, check_number
 from .model import predict_corpus
 from .rca import accuracy_csv, run_rca
 from .springs import ScmSpec, simulate
@@ -34,6 +33,15 @@ _SECTION_KEYS = {
     "evaluate": {"truth", "predicted"},
     "rca": {"checkpoint", "corpus", "top_k", "epsilon", "normalize",
             "allow_hash_mismatch"},
+}
+
+# check_number bounds of the numbers a section may hold (`window` may be null)
+_NUMBERS = {
+    "t_total": dict(integer=True, minimum=2),
+    "window": dict(integer=True, minimum=2),
+    "seed": dict(integer=True, minimum=0),
+    "top_k": dict(integer=True, minimum=1),
+    "epsilon": dict(minimum=0, above=True),
 }
 
 
@@ -63,17 +71,19 @@ def load_run_config(path: str, command: str) -> dict:
     unknown = set(section) - _SECTION_KEYS[command]
     if unknown:
         raise ConfigError(f"unknown '{command}' keys {sorted(unknown)}")
+    for key in _NUMBERS.keys() & section.keys():
+        if not (key == "window" and section[key] is None):
+            _config(f"{command}.{key}", check_number, key, section[key], **_NUMBERS[key])
     return section
 
 
-def _section_object(build, cls, values: dict, where: str):
-    """`build(**values)`; unknown keys and invalid values are ConfigErrors."""
-    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown '{where}' keys {sorted(unknown)}")
+def _config(where: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, with a bad value in it (out of range, of the
+    wrong type, or an unknown keyword) reported as a ConfigError naming
+    `where`: the one path by which run-config values are checked."""
     try:
-        return build(**values)
-    except (ParameterError, TypeError) as exc:  # TypeError: a value of the wrong type
+        return build(*args, **kwargs)
+    except (ParameterError, TypeError, ValueError) as exc:
         raise ConfigError(f"'{where}': {exc}") from exc
 
 
@@ -94,12 +104,6 @@ def _load_corpus(path: str, do_normalize: bool):
     return corpus
 
 
-def _load_checkpoint(path: str) -> Checkpoint:
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint file not found: {path}")
-    return Checkpoint.load(path)
-
-
 def _check_hash(checkpoint: Checkpoint, digest: str, allow_mismatch: bool) -> None:
     if checkpoint.corpus_hash != digest and not allow_mismatch:
         raise DataError(
@@ -115,12 +119,11 @@ def _check_hash(checkpoint: Checkpoint, digest: str, allow_mismatch: bool) -> No
 def cmd_generate(section: dict, out_dir: str, seed_override) -> dict:
     if "scm" not in section or "t_total" not in section:
         raise ConfigError("generate section requires 'scm' and 't_total'")
-    seed = int(section.get("seed", 0)) if seed_override is None else seed_override
-    spec = ScmSpec.from_dict(section["scm"])
-    long_corpus, _ = simulate(spec, int(section["t_total"]), seed)
-    corpus = long_corpus
-    if "window" in section and section["window"] is not None:
-        corpus = corpus_mod.window_corpus(corpus, int(section["window"]))
+    seed = section.get("seed", 0) if seed_override is None else seed_override
+    spec = _config("generate.scm", ScmSpec.from_dict, section["scm"])
+    corpus, _ = simulate(spec, section["t_total"], seed)
+    if section.get("window") is not None:
+        corpus = _config("generate.window", corpus_mod.window_corpus, corpus, section["window"])
     if section.get("normalize", True):
         corpus = corpus_mod.normalize(corpus)
     digest = corpus_mod.save(corpus, os.path.join(out_dir, "corpus.txt"))
@@ -134,19 +137,17 @@ def cmd_train(section: dict, out_dir: str, seed_override) -> dict:
         raise ConfigError("train section requires 'corpus'")
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     phase = section.get("phase", "prediction")
-    overrides = dict(section.get("config", {}))
-    if seed_override is not None:
-        overrides["seed"] = seed_override
     if phase == "prediction":
         build = functools.partial(TrainConfig.prediction, corpus.n_steps)
     elif phase == "rca":
         build = TrainConfig.rca
     else:
         raise ConfigError(f"unknown training phase '{phase}'")
-    config = _section_object(build, TrainConfig, overrides, "train.config")
+    seed = {} if seed_override is None else {"seed": seed_override}
+    config = _config("train.config", lambda: build(**{**section.get("config", {}), **seed}))
     split = None
     if "split" in section:
-        split = _section_object(SplitSpec, SplitSpec, section["split"], "train.split")
+        split = _config("train.split", lambda: SplitSpec(**section["split"]))
     checkpoint = train(config, corpus, split, log=print)
     checkpoint.save(os.path.join(out_dir, "checkpoint.json"))
     write_metrics_csv(checkpoint.history, os.path.join(out_dir, "metrics.csv"))
@@ -163,12 +164,12 @@ def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> d
     for key in ("checkpoint", "corpus"):
         if key not in section:
             raise ConfigError(f"predict section requires '{key}'")
-    checkpoint = _load_checkpoint(section["checkpoint"])
+    checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
     allow = allow_mismatch or bool(section.get("allow_hash_mismatch", False))
     _check_hash(checkpoint, digest, allow)
-    seed = int(section.get("seed", 0)) if seed_override is None else seed_override
+    seed = section.get("seed", 0) if seed_override is None else seed_override
     model = checkpoint.build_model()
     predicted = predict_corpus(model, corpus, checkpoint.config.tau, seed)
     corpus_mod.save(predicted, os.path.join(out_dir, "predicted.txt"))
@@ -206,17 +207,17 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
     for key in ("checkpoint", "corpus"):
         if key not in section:
             raise ConfigError(f"rca section requires '{key}'")
-    checkpoint = _load_checkpoint(section["checkpoint"])
+    checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
     allow = allow_mismatch or bool(section.get("allow_hash_mismatch", False))
     _check_hash(checkpoint, digest, allow)
-    top_k = int(section.get("top_k", min(10, corpus.n_atoms)))
+    top_k = section.get("top_k", min(10, corpus.n_atoms))
     if not 1 <= top_k <= corpus.n_atoms:
         raise ConfigError(
             f"'rca.top_k' is {top_k}; it must lie in [1, {corpus.n_atoms}] (the atom count)"
         )
-    eps = float(section.get("epsilon", 1e-8))
+    eps = section.get("epsilon", 1e-8)
     model = checkpoint.build_model()
     report, posterior = run_rca(model, corpus, k=top_k, eps=eps)
     export_posterior_csv(posterior, os.path.join(out_dir, "posterior.csv"))
@@ -260,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _config("--seed", check_number, "seed", args.seed, integer=True, minimum=0)
         section = load_run_config(args.config, args.command)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "generate":

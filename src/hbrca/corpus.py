@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateInputError,
-    ParameterError,
-    ParseError,
-)
+from .errors import DataError, DegenerateInputError, ParameterError, ParseError, check_number
 from .rng import substream
 
 PERSIST = "persist"
@@ -407,11 +402,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("seed", self.seed, integer=True, minimum=0)
+        for name in ("train", "val", "test"):
+            check_number(name, getattr(self, name), minimum=0)
         total = self.train + self.val + self.test
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"train + val + test fractions sum to {total}, expected 1")
-        if min(self.train, self.val, self.test) < 0:
-            raise ParameterError("train, val and test fractions must be nonnegative")
 
 
 def split_windows(corpus: TrajectoryCorpus, spec: SplitSpec):

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one value check.
 
 CLI exit codes map onto these: ConfigError -> 2, DataError -> 3,
 NumericalError -> 4.
 """
+
+import math
+import numbers
 
 
 class HbrcaError(Exception):
@@ -52,3 +55,18 @@ class InstabilityError(NumericalError):
 
 class AbsentGradientError(HbrcaError):
     """Gradient requested for a tensor not on the recorded path."""
+
+
+def check_number(name: str, value, integer: bool = False, minimum=None, above: bool = False):
+    """`value` if it is a finite number (an integer if `integer`) that is at
+    least `minimum` (greater than it if `above`); otherwise a ParameterError
+    that names `name`. Booleans and numeric strings are not numbers here."""
+    kind = numbers.Integral if integer else numbers.Real
+    ok = (not isinstance(value, bool) and isinstance(value, kind)
+          and (integer or math.isfinite(value))
+          and (minimum is None or (value > minimum if above else value >= minimum)))
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        bound = "" if minimum is None else f" {'>' if above else '>='} {minimum}"
+        raise ParameterError(f"{name} must be {what}{bound}, got {value!r}")
+    return value

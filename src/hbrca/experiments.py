@@ -1,7 +1,8 @@
 """Reusable synthetic experiment builders.
 
 These assemble the corpora behind the recovery, trend and degeneracy
-experiments driven by the scripts and the acceptance suite. The graph
+experiments driven by the scripts and the acceptance suite, and run the
+trend's sweep over window lengths. The graph
 shapes are chosen so every dynamic is stationary per regime: static
 wall nodes anchor spring-bound mobiles, and an intervention weakens or
 removes the binding of the change-set nodes at the trajectory midpoint.
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import SplitSpec, TrajectoryCorpus, normalize, window_corpus
+from .corpus import SplitSpec, TrajectoryCorpus, normalize, split_windows, window_corpus
 from .errors import ParameterError
+from .metrics import mae, mse
+from .model import predict_windows
 from .rca import GroundTruthOracle, rank_descending, ranking_accuracy, rca_scores
 from .springs import EDGE_ATTRACT, EDGE_SWITCHED, ScmSpec, simulate
 from .training import TrainConfig, train
@@ -25,6 +28,7 @@ from .training import TrainConfig, train
 RECOVERY_LAMBDA_REC = 3000.0
 RECOVERY_T_TOTAL = 800
 RECOVERY_T_WINDOW = 5
+TREND_T_VALUES = (50, 25, 10, 5)
 
 
 def recovery_config(seed: int) -> "TrainConfig":
@@ -157,6 +161,30 @@ def build_trend_corpus(seed: int, t_total: int = 10_000) -> TrajectoryCorpus:
     spec = trend_spec(seed)
     long_corpus, _ = simulate(spec, t_total, seed)
     return normalize(long_corpus)
+
+
+def prediction_trend(epochs: int, log=None) -> list:
+    """Test error per window length T on one long trend corpus.
+
+    For each T in TREND_T_VALUES, windows the seed-11 corpus, trains a
+    prediction-phase model and self-rolls it out over the test windows
+    (edge draws seeded 77). Returns rows (T, windows, mse, mae) by
+    descending T; `log` gets each row as it is done.
+    """
+    long_corpus = build_trend_corpus(seed=11)
+    split = SplitSpec(seed=11)
+    rows = []
+    for t_window in sorted(TREND_T_VALUES, reverse=True):
+        corpus = window_corpus(long_corpus, t_window)
+        config = TrainConfig.prediction(t_window, epochs=epochs, seed=11)
+        model = train(config, corpus, split).build_model()
+        test = corpus.positions[split_windows(corpus, split)[2]]
+        preds = predict_windows(model, test, config.tau, seed=77)
+        truth = test[:, :, 1:, :]
+        rows.append((t_window, corpus.n_samples, mse(preds, truth), mae(preds, truth)))
+        if log:
+            log(rows[-1])
+    return rows
 
 
 def degenerate_spec(seed: int, n_nodes: int = 10) -> ScmSpec:

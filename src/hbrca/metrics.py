@@ -8,21 +8,11 @@ since each uses its own reference (first step or per-atom time mean).
 from __future__ import annotations
 
 import io
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import TrajectoryCorpus, fmt_float, format_rows
 from .errors import ParameterError
-from .model import predict_windows
-
-
-@dataclass
-class MetricSeries:
-    name: str
-    axis: str  # "time" | "atom" | "T-sweep"
-    values: np.ndarray
 
 
 def _check_trajectory(traj: np.ndarray) -> None:
@@ -82,51 +72,6 @@ def mae(pred: np.ndarray, truth: np.ndarray) -> float:
     if pred.shape != truth.shape:
         raise ParameterError(f"shape mismatch {pred.shape} vs {truth.shape}")
     return float(np.mean(np.abs(pred - truth)))
-
-
-def gaussian_nll(pred: np.ndarray, truth: np.ndarray, var: float = 5e-5) -> float:
-    """Average Gaussian negative log-likelihood at a fixed variance.
-
-    Optional reporting only; the optimized objective stays MSE.
-    """
-    if var <= 0:
-        raise ParameterError("variance must be positive")
-    sq = mse(pred, truth)
-    return 0.5 * (np.log(2.0 * np.pi * var) + sq / var)
-
-
-def mse_mae_sweep(checkpoints: dict, corpora: dict, seed: int = 0) -> list:
-    """Self-rollout error per window length T.
-
-    `checkpoints` maps T to a loaded Checkpoint and `corpora` maps T to
-    the matching windowed test corpus. Rows for which a checkpoint is
-    missing are omitted with a warning. Returns rows sorted by
-    descending T: (T, n_samples, mse, mae).
-    """
-    rows = []
-    for t in sorted(corpora, reverse=True):
-        if t not in checkpoints:
-            warnings.warn(f"no checkpoint for T={t}; row omitted")
-            continue
-        ckpt = checkpoints[t]
-        corpus = corpora[t]
-        model = ckpt.build_model()
-        preds = predict_windows(
-            model, corpus.positions, ckpt.config.tau, seed
-        )
-        truth = corpus.positions[:, :, 1:, :]
-        rows.append((t, corpus.n_samples, mse(preds, truth), mae(preds, truth)))
-    return rows
-
-
-def sweep_series(rows: list) -> dict:
-    """Sweep rows as named series over the T axis (plot-ready form)."""
-    ts = np.array([r[0] for r in rows])
-    return {
-        "mse": MetricSeries("mse", "T-sweep", np.array([r[2] for r in rows])),
-        "mae": MetricSeries("mae", "T-sweep", np.array([r[3] for r in rows])),
-        "T": ts,
-    }
 
 
 def sweep_csv(rows: list, path=None) -> str:

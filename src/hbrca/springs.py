@@ -12,12 +12,12 @@ the type-2 mechanism from the boundary step onward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .corpus import RegimeLabels, TrajectoryCorpus
-from .errors import ConfigError, InstabilityError, ParameterError
+from .errors import ConfigError, InstabilityError, ParameterError, check_number
 from .rng import substream
 
 EDGE_NONE = 0
@@ -49,6 +49,13 @@ class ScmSpec:
     init_positions: np.ndarray | None = None
 
     def __post_init__(self):
+        check_number("n_nodes", self.n_nodes, integer=True, minimum=1)
+        if check_number("n_dims", self.n_dims, integer=True, minimum=1) > 3:
+            raise ParameterError(f"n_dims must be at most 3 (x, y, z), got {self.n_dims}")
+        self.k_attract = float(check_number("k_attract", self.k_attract))
+        self.k_switch = float(check_number("k_switch", self.k_switch))
+        self.noise_std = float(check_number("noise_std", self.noise_std, minimum=0))
+        self.step_size = float(check_number("step_size", self.step_size, minimum=0, above=True))
         if self.adjacency is None:
             self.adjacency = np.zeros((self.n_nodes, self.n_nodes), dtype=int)
         self.adjacency = np.asarray(self.adjacency, dtype=int)
@@ -58,75 +65,46 @@ class ScmSpec:
             raise ParameterError("self-edges are not allowed")
         if not set(np.unique(self.adjacency)) <= {EDGE_NONE, EDGE_ATTRACT, EDGE_SWITCHED}:
             raise ParameterError("edge types must be 0, 1 or 2")
+        if self.boundary_step is not None:
+            check_number("boundary_step", self.boundary_step, integer=True, minimum=0)
         if self.k_attract == self.k_switch:
             raise ParameterError("the two mechanism constants must differ")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be nonnegative")
-        if self.step_size <= 0:
-            raise ParameterError("step_size must be positive")
-        self.change_set = set(int(i) for i in self.change_set)
-        self.static_nodes = set(int(i) for i in self.static_nodes)
-        for name, nodes in (("change_set", self.change_set),
-                            ("static_nodes", self.static_nodes)):
+        for name in ("change_set", "static_nodes"):
+            nodes = {int(check_number(name, i, integer=True)) for i in getattr(self, name)}
             bad = [i for i in nodes if not 0 <= i < self.n_nodes]
             if bad:
                 raise ParameterError(f"{name} indices out of range: {bad}")
+            setattr(self, name, nodes)
         if self.init_positions is not None:
-            self.init_positions = np.asarray(self.init_positions, dtype=np.float64)
+            try:
+                self.init_positions = np.asarray(self.init_positions, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"init_positions: {exc}") from exc
             if self.init_positions.shape != (self.n_nodes, self.n_dims):
                 raise ParameterError("init_positions must be [n_nodes, n_dims]")
 
-    def edge_list(self) -> list:
-        return [
-            [int(i), int(j), int(self.adjacency[i, j])]
-            for i in range(self.n_nodes)
-            for j in range(self.n_nodes)
-            if self.adjacency[i, j] != EDGE_NONE
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "n_dims": self.n_dims,
-            "edges": self.edge_list(),
-            "k_attract": self.k_attract,
-            "k_switch": self.k_switch,
-            "noise_std": self.noise_std,
-            "step_size": self.step_size,
-            "change_set": sorted(self.change_set),
-            "boundary_step": self.boundary_step,
-            "static_nodes": sorted(self.static_nodes),
-            "init_positions": None
-            if self.init_positions is None
-            else self.init_positions.tolist(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScmSpec":
-        known = {"n_nodes", "n_dims", "edges", "k_attract", "k_switch", "noise_std",
-                 "step_size", "change_set", "boundary_step", "static_nodes",
-                 "init_positions"}
+        """Spec from a config's `scm` section: the fields above, with the
+        adjacency given as `edges`, a list of [source, target, type]."""
+        known = {f.name for f in fields(cls)} - {"adjacency"} | {"edges"}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown generator keys {sorted(unknown)}")
-        n = int(d["n_nodes"])
+        values = dict(d)
+        n = check_number("n_nodes", values.get("n_nodes"), integer=True, minimum=1)
         adjacency = np.zeros((n, n), dtype=int)
-        for src, dst, etype in d.get("edges", []):
-            adjacency[int(src), int(dst)] = int(etype)
-        init = d.get("init_positions")
-        return cls(
-            n_nodes=n,
-            n_dims=int(d.get("n_dims", 3)),
-            adjacency=adjacency,
-            k_attract=float(d.get("k_attract", 1.0)),
-            k_switch=float(d.get("k_switch", 0.0)),
-            noise_std=float(d.get("noise_std", 0.0)),
-            step_size=float(d.get("step_size", 0.1)),
-            change_set=set(d.get("change_set", [])),
-            boundary_step=d.get("boundary_step"),
-            static_nodes=set(d.get("static_nodes", [])),
-            init_positions=None if init is None else np.asarray(init, dtype=float),
-        )
+        for edge in values.pop("edges", []):
+            if not (isinstance(edge, list) and len(edge) == 3
+                    and all(type(v) is int for v in edge)
+                    and 0 <= min(edge[:2]) and max(edge[:2]) < n
+                    and edge[2] in (EDGE_NONE, EDGE_ATTRACT, EDGE_SWITCHED)):
+                raise ParameterError(
+                    f"edges entry {edge!r} is not [source, target, type] with "
+                    f"nodes in [0, {n}) and type 0, 1 or 2"
+                )
+            adjacency[edge[0], edge[1]] = edge[2]
+        return cls(adjacency=adjacency, **values)
 
 
 def _spring_matrix(spec: ScmSpec, switched: bool) -> np.ndarray:

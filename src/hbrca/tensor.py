@@ -41,10 +41,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 def assert_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values in {what}")
@@ -95,9 +91,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -201,32 +194,6 @@ def mul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-                owned=True,
-            )
-
-    return _node(out_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g, owned=True)
-
-    return _node(-a.data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -247,17 +214,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- pointwise nonlinearities --------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data, owned=True)
-
-    return _node(out_data, (a,), backward)
 
 
 def log(a) -> Tensor:
@@ -325,12 +281,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _node(out_data, (a,), backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, shape) -> Tensor:

@@ -13,12 +13,9 @@ error over predicted entries.
 from __future__ import annotations
 
 import base64
-import copy
 import io
 import json
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +23,7 @@ from . import tensor as T
 from .corpus import SplitSpec, TrajectoryCorpus, _split_indices, corpus_hash, fmt_float
 from .decoder import rollout_train
 from .encoder import EdgePosterior, encode_logits
-from .errors import ConfigError, NumericalError, ParameterError
+from .errors import ConfigError, DataError, NumericalError, ParameterError, check_number
 from .graph import pair_index
 from .layers import AdamState, adam_step, decayed_lr, gumbel_softmax
 from .model import INIT_SCHEME, ModelParams, eval_mse
@@ -37,7 +34,7 @@ L1 = "l1"
 GROUP_LASSO = "group-lasso"
 
 CHECKPOINT_FORMAT = "hbrca-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -57,71 +54,42 @@ class TrainConfig:
     sparsity_mode: str = L1
 
     def __post_init__(self):
-        for name in ("k", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
-                or not math.isfinite(self.lr) or self.lr <= 0):
-            raise ParameterError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if self.tau <= 0:
-            raise ParameterError("tau must be positive")
-        if min(self.lambda_kl, self.lambda_rec, self.lambda_sparse) <= 0:
-            raise ParameterError("lambda_kl, lambda_rec and lambda_sparse must be positive")
-        prior = tuple(float(p) for p in self.prior)
-        if len(prior) != 3 or min(prior) <= 0:
+        for name in ("k", "epochs", "batch_size"):
+            check_number(name, getattr(self, name), integer=True, minimum=1)
+        check_number("seed", self.seed, integer=True, minimum=0)
+        for name in ("tau", "lr", "lambda_kl", "lambda_rec", "lambda_sparse"):
+            check_number(name, getattr(self, name), minimum=0, above=True)
+        prior = tuple(float(check_number("prior", p, minimum=0, above=True))
+                      for p in self.prior)
+        if len(prior) != 3:
             raise ParameterError("prior must be three positive entries")
         if abs(sum(prior) - 1.0) > 1e-9:
             raise ParameterError(f"prior sums to {sum(prior)}, expected 1")
         self.prior = prior
-        if self.k < 1:
-            raise ParameterError("k must be >= 1")
         if self.sparsity_mode not in (L1, GROUP_LASSO):
             raise ParameterError(f"unknown sparsity mode '{self.sparsity_mode}'")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be >= 1")
 
     @classmethod
     def prediction(cls, t_window: int, **overrides) -> "TrainConfig":
-        """Prediction-phase defaults: lr 5e-5, prior [0.2, 0.4, 0.4], k = T."""
-        base = dict(
-            tau=0.5, lr=5e-5, prior=(0.2, 0.4, 0.4), k=t_window,
-            lambda_kl=1.0, lambda_rec=0.1, lambda_sparse=0.001,
-            epochs=300, sparsity_mode=L1,
-        )
-        base.update(overrides)
-        return cls(**base)
+        """Prediction-phase table: the class defaults, with k = T."""
+        return cls(**{"k": t_window, **overrides})
 
     @classmethod
     def rca(cls, **overrides) -> "TrainConfig":
-        """RCA-phase defaults: lr 5e-4, prior [0.9, 0.05, 0.05], k = 3."""
-        base = dict(
-            tau=0.5, lr=5e-4, prior=(0.9, 0.05, 0.05), k=3,
-            lambda_kl=1.0, lambda_rec=0.1, lambda_sparse=0.001,
-            epochs=100, sparsity_mode=GROUP_LASSO,
-        )
-        base.update(overrides)
-        return cls(**base)
+        """RCA-phase table: lr 5e-4, prior [0.9, 0.05, 0.05], k = 3, group
+        lasso, 100 epochs; the rest are the class defaults."""
+        return cls(**{"lr": 5e-4, "prior": (0.9, 0.05, 0.05), "k": 3, "epochs": 100,
+                      "sparsity_mode": GROUP_LASSO, **overrides})
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau, "lr": self.lr, "prior": list(self.prior), "k": self.k,
-            "lambda_kl": self.lambda_kl, "lambda_rec": self.lambda_rec,
-            "lambda_sparse": self.lambda_sparse, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "sparsity_mode": self.sparsity_mode,
-        }
+        return dict(asdict(self), prior=list(self.prior))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls().to_dict())
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown training keys {sorted(unknown)}")
-        merged = cls().to_dict()
-        merged.update(d)
-        merged["prior"] = tuple(merged["prior"])
-        return cls(**merged)
+        return cls(**d)
 
 
 # -- loss terms (public numeric forms) ---------------------------------------
@@ -238,16 +206,18 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    """Versioned container for a trained model and its provenance."""
+    """Versioned container for a trained model and its provenance.
+
+    It holds what inference needs and nothing to resume training from:
+    no optimizer state is kept.
+    """
 
     params: dict
     buffers: dict
-    adam: dict
     epoch: int
     best_val_mse: float
     config: TrainConfig
     corpus_hash: str
-    seed: int
     arch: dict
     atom_names: list
     normalization_scale: float = 1.0
@@ -255,23 +225,17 @@ class Checkpoint:
     init_scheme: str = INIT_SCHEME
 
     def build_model(self) -> ModelParams:
-        rng = np.random.default_rng(0)
-        model = ModelParams.create(
-            rng,
-            t_window=self.arch["t_window"],
-            n_dims=self.arch["n_dims"],
-            enc_hidden=self.arch["enc_hidden"],
-            dec_hidden=self.arch["dec_hidden"],
-            msg_dim=self.arch["msg_dim"],
-        )
-        params = model.parameters()
-        if set(params) != set(self.params):
-            raise ConfigError("checkpoint parameter names do not match architecture")
+        try:
+            model = ModelParams.create(np.random.default_rng(0), **self.arch)
+        except TypeError as exc:
+            raise DataError(f"checkpoint architecture {self.arch}: {exc}") from exc
+        params, buffers = model.parameters(), model.buffers()
+        if set(params) != set(self.params) or set(buffers) != set(self.buffers):
+            raise DataError("checkpoint parameter names do not match architecture")
         for name, tensor in params.items():
             if tensor.data.shape != self.params[name].shape:
-                raise ConfigError(f"checkpoint shape mismatch for '{name}'")
+                raise DataError(f"checkpoint shape mismatch for '{name}'")
             tensor.data = self.params[name].copy()
-        buffers = model.buffers()
         for name, arr in buffers.items():
             arr[...] = self.buffers[name]
         return model
@@ -282,16 +246,10 @@ class Checkpoint:
             "version": CHECKPOINT_VERSION,
             "params": {k: _encode_array(v) for k, v in sorted(self.params.items())},
             "buffers": {k: _encode_array(v) for k, v in sorted(self.buffers.items())},
-            "adam": {
-                "step": self.adam["step"],
-                "m": {k: _encode_array(v) for k, v in sorted(self.adam["m"].items())},
-                "v": {k: _encode_array(v) for k, v in sorted(self.adam["v"].items())},
-            },
             "epoch": self.epoch,
             "best_val_mse": self.best_val_mse,
             "config": self.config.to_dict(),
             "corpus_hash": self.corpus_hash,
-            "seed": self.seed,
             "arch": self.arch,
             "atom_names": self.atom_names,
             "normalization_scale": self.normalization_scale,
@@ -303,42 +261,35 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"not a checkpoint file: {path}")
+        """Read a checkpoint; any fault in the file is a DataError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise DataError(f"not a checkpoint file: {path} ({exc})") from exc
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise DataError(f"not a checkpoint file: {path}")
         if doc.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {doc.get('version')}")
-        return cls(
-            params={k: _decode_array(v) for k, v in doc["params"].items()},
-            buffers={k: _decode_array(v) for k, v in doc["buffers"].items()},
-            adam={
-                "step": doc["adam"]["step"],
-                "m": {k: _decode_array(v) for k, v in doc["adam"]["m"].items()},
-                "v": {k: _decode_array(v) for k, v in doc["adam"]["v"].items()},
-            },
-            epoch=doc["epoch"],
-            best_val_mse=doc["best_val_mse"],
-            config=TrainConfig.from_dict(doc["config"]),
-            corpus_hash=doc["corpus_hash"],
-            seed=doc["seed"],
-            arch=doc["arch"],
-            atom_names=doc["atom_names"],
-            normalization_scale=doc["normalization_scale"],
-            history=doc["history"],
-            init_scheme=doc.get("init_scheme", INIT_SCHEME),
-        )
-
-
-def _snapshot(model: ModelParams, adam: AdamState) -> tuple:
-    params = {k: v.data.copy() for k, v in model.parameters().items()}
-    buffers = {k: v.copy() for k, v in model.buffers().items()}
-    adam_copy = {
-        "step": adam.step,
-        "m": copy.deepcopy(adam.m),
-        "v": copy.deepcopy(adam.v),
-    }
-    return params, buffers, adam_copy
+            raise DataError(
+                f"checkpoint version {doc.get('version')!r} is not supported; this "
+                f"build reads version {CHECKPOINT_VERSION} (retrain to write one)"
+            )
+        try:
+            return cls(
+                params={k: _decode_array(v) for k, v in doc["params"].items()},
+                buffers={k: _decode_array(v) for k, v in doc["buffers"].items()},
+                epoch=doc["epoch"],
+                best_val_mse=doc["best_val_mse"],
+                config=TrainConfig.from_dict(doc["config"]),
+                corpus_hash=doc["corpus_hash"],
+                arch=doc["arch"],
+                atom_names=doc["atom_names"],
+                normalization_scale=doc["normalization_scale"],
+                history=doc["history"],
+                init_scheme=doc.get("init_scheme", INIT_SCHEME),
+            )
+        except (LookupError, TypeError, ValueError, ConfigError, ParameterError) as exc:
+            raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc
 
 
 def write_metrics_csv(history: list, path) -> None:
@@ -383,11 +334,11 @@ def train(
     history = []
 
     def make_checkpoint() -> Checkpoint:
-        p, bufs, ad = _snapshot(model, adam)
         return Checkpoint(
-            params=p, buffers=bufs, adam=ad,
+            params={k: v.data.copy() for k, v in model.parameters().items()},
+            buffers={k: v.copy() for k, v in model.buffers().items()},
             epoch=epoch, best_val_mse=best_mse, config=config,
-            corpus_hash=digest, seed=config.seed, arch=dict(model.arch),
+            corpus_hash=digest, arch=dict(model.arch),
             atom_names=list(corpus.atom_names),
             normalization_scale=corpus.normalization_scale,
             history=list(history),

@@ -13,17 +13,18 @@ import pytest
 from scipy import integrate, stats
 
 from hbrca import tensor as T
-from hbrca.corpus import SplitSpec, TrajectoryCorpus, normalize, split_windows, window_corpus
+from hbrca.corpus import SplitSpec, TrajectoryCorpus, normalize
 from hbrca.decoder import step
 from hbrca.encoder import encode
 from hbrca.experiments import (
+    TREND_T_VALUES,
     build_degenerate_corpus,
-    build_trend_corpus,
+    prediction_trend,
     rca_recovery_run,
 )
 from hbrca.layers import gumbel_softmax
 from hbrca.metrics import displacement, rmsf_over_atoms, rmsf_over_time
-from hbrca.model import ModelParams, eval_mse
+from hbrca.model import ModelParams
 from hbrca.rca import gaussian_kl, rca_scores, wasserstein2_gaussian
 from hbrca.rng import gumbel, substream
 from hbrca.tensor import Tensor
@@ -214,7 +215,6 @@ def test_criterion_5_rca_recovery():
 # -- criterion 6: prediction trend ----------------------------------------------------------
 
 
-TREND_T_VALUES = (50, 25, 10, 5)
 TREND_EPOCHS = 25  # documented reduced budget (full table recipe is 300)
 
 
@@ -222,26 +222,14 @@ TREND_EPOCHS = 25  # documented reduced budget (full table recipe is 300)
 def test_criterion_6_prediction_trend():
     """Checkpoints per T in {50, 25, 10, 5} on one 10,000-step corpus;
     test MSE must be non-increasing as T decreases."""
-    long_corpus = build_trend_corpus(seed=11)
-    results = {}
-    for t_window in TREND_T_VALUES:
-        corpus = window_corpus(long_corpus, t_window)
-        config = TrainConfig.prediction(
-            t_window, epochs=TREND_EPOCHS, seed=11
-        )
-        ckpt = train(config, corpus, SplitSpec(seed=11))
-        model = ckpt.build_model()
-        _, _, test_idx = split_windows(corpus, SplitSpec(seed=11))
-        results[t_window] = eval_mse(
-            model, corpus.positions[test_idx], config.tau, seed=77
-        )
-    ordered = [results[t] for t in sorted(TREND_T_VALUES, reverse=True)]
+    rows = prediction_trend(TREND_EPOCHS)
+    assert [row[0] for row in rows] == sorted(TREND_T_VALUES, reverse=True) == [50, 25, 10, 5]
+    ordered = [row[2] for row in rows]
     monotone = all(a >= b for a, b in zip(ordered, ordered[1:]))
     report(
         "criterion 6 (prediction trend)",
         monotone,
-        "MSE by T desc: " + ", ".join(f"{t}:{results[t]:.5f}"
-                                       for t in sorted(TREND_T_VALUES, reverse=True)),
+        "MSE by T desc: " + ", ".join(f"{t}:{m:.5f}" for t, _, m, _ in rows),
     )
 
 

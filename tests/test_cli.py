@@ -321,3 +321,94 @@ def test_seed_flag_overrides_config(workdir):
     assert ca != cb
     echo = json.loads((a / "config.json").read_text())
     assert echo["seed"] == 99
+
+
+# -- config faults exit 2, checkpoint faults exit 3 -----------------------------
+
+
+@pytest.mark.parametrize("change,key", [
+    (lambda g: g["scm"].pop("n_nodes"), "n_nodes"),
+    (lambda g: g["scm"].update(edges=[[0, 9, 1]]), "edges"),
+    (lambda g: g.update(t_total="abc"), "t_total"),
+    (lambda g: g["scm"].update(step_size=-1), "step_size"),
+    (lambda g: g.update(window=1), "window"),
+    (lambda g: g.update(t_total=1), "t_total"),
+    (lambda g: g.update(window=300), "window"),
+    (lambda g: g["scm"].update(n_dims=4), "n_dims"),
+    (lambda g: g["scm"].update(init_positions="abc"), "init_positions"),
+], ids=["no-n_nodes", "edge-off-graph", "t_total-text", "step_size-negative",
+        "window-1", "t_total-1", "window-above-t_total", "n_dims-4", "init_positions-text"])
+def test_bad_generate_value_gives_exit_2(workdir, change, key, capsys):
+    doc = generate_config()
+    change(doc["generate"])
+    path = write_config(workdir / "g.json", doc)
+    assert main(["generate", "--config", path, "--out", str(workdir / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(corpus path, checkpoint path) of a one-epoch run."""
+    work = tmp_path_factory.mktemp("trained")
+    cfg = write_config(work / "gen.json", generate_config())
+    assert main(["generate", "--config", cfg, "--out", str(work / "gen")]) == 0
+    corpus = str(work / "gen" / "corpus.txt")
+    tcfg = write_config(work / "train.json", {"schema_version": 1, "train": {
+        "corpus": corpus, "phase": "rca", "config": {"epochs": 1, "batch_size": 16}}})
+    assert main(["train", "--config", tcfg, "--out", str(work / "train")]) == 0
+    return corpus, str(work / "train" / "checkpoint.json")
+
+
+@pytest.mark.parametrize("command,values,flags,key", [
+    ("train", {"config": {"seed": -1}}, [], "seed"),
+    ("predict", {"seed": -1}, [], "seed"),
+    ("predict", {}, ["--seed", "-1"], "seed"),
+    ("rca", {"epsilon": 0}, [], "epsilon"),
+    ("rca", {"top_k": "x"}, [], "top_k"),
+    ("rca", {"top_k": 2.7}, [], "top_k"),
+], ids=["train-seed-negative", "predict-seed-negative", "seed-flag-negative",
+        "rca-epsilon-0", "rca-top_k-text", "rca-top_k-fraction"])
+def test_bad_section_value_gives_exit_2(trained, tmp_path, command, values, flags, key,
+                                        capsys):
+    corpus, checkpoint = trained
+    section = dict({"corpus": corpus}, **values)
+    if command != "train":
+        section["checkpoint"] = checkpoint
+    path = write_config(tmp_path / "c.json", {"schema_version": 1, command: section})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")] + flags) == 2
+    assert key in capsys.readouterr().err
+
+
+def _version_1(doc):
+    """The same model as a version-1 file, which also held Adam moments."""
+    doc.update(version=1, seed=doc["config"]["seed"],
+               adam={"step": 1, "m": doc["params"], "v": doc["params"]})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["predict", "rca"])
+@pytest.mark.parametrize("fault,message", [
+    ("corpus-file", "not a checkpoint"),
+    ("version-1", "version 1"),
+    ("truncated", "not a checkpoint"),
+    ("no-params", "params"),
+    ("not-found", "not a checkpoint"),
+], ids=["corpus-file", "version-1", "truncated", "no-params", "not-found"])
+def test_bad_checkpoint_gives_exit_3(trained, tmp_path, command, fault, message, capsys):
+    corpus, checkpoint = trained
+    text = open(checkpoint, encoding="utf-8").read()
+    bad = tmp_path / "checkpoint.json"
+    if fault == "corpus-file":
+        bad = corpus
+    elif fault == "version-1":
+        bad.write_text(_version_1(json.loads(text)))
+    elif fault == "truncated":
+        bad.write_text(text[: len(text) // 2])
+    elif fault == "no-params":
+        doc = json.loads(text)
+        del doc["params"]
+        bad.write_text(json.dumps(doc))
+    path = write_config(tmp_path / "c.json", {
+        "schema_version": 1, command: {"checkpoint": str(bad), "corpus": corpus}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err

@@ -10,7 +10,6 @@ from hbrca.metrics import (
     displacement_csv,
     mae,
     mse,
-    mse_mae_sweep,
     rmsf_atom_csv,
     rmsf_over_atoms,
     rmsf_over_time,
@@ -85,17 +84,6 @@ def test_mse_mae_basics(rng):
         mse(x, x[:1])
 
 
-def test_gaussian_nll_at_fixed_variance(rng):
-    from hbrca.metrics import gaussian_nll
-
-    x = rng.normal(size=(2, 3))
-    nll = gaussian_nll(x, x, var=5e-5)
-    assert abs(nll - 0.5 * np.log(2 * np.pi * 5e-5)) < 1e-12
-    assert gaussian_nll(x + 0.01, x, var=5e-5) > nll
-    with pytest.raises(ParameterError):
-        gaussian_nll(x, x, var=0.0)
-
-
 def test_mse_bounded_on_normalized_domain(rng):
     x = rng.uniform(-1, 1, size=(2, 3, 4, 3))
     y = rng.uniform(-1, 1, size=(2, 3, 4, 3))
@@ -122,23 +110,6 @@ def make_corpus(rng, s=2, n=3, t=5, d=3):
         positions=rng.normal(size=(s, n, t, d)),
         atom_names=[f"A{i:02d}" for i in range(n)],
     )
-
-
-def test_sweep_warns_and_omits_missing_checkpoint(rng):
-    corpora = {5: make_corpus(rng, t=5), 10: make_corpus(rng, t=10)}
-    with pytest.warns(UserWarning):
-        rows = mse_mae_sweep({}, corpora)
-    assert rows == []
-
-
-def test_sweep_series_shapes():
-    from hbrca.metrics import sweep_series
-
-    rows = [(50, 4, 0.3, 0.4), (5, 8, 0.1, 0.2)]
-    series = sweep_series(rows)
-    assert series["mse"].axis == "T-sweep"
-    assert np.allclose(series["mse"].values, [0.3, 0.1])
-    assert np.array_equal(series["T"], [50, 5])
 
 
 def test_sweep_csv_and_perfect_predictor(rng):
