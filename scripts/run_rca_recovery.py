@@ -22,7 +22,7 @@ def main():
     per_seed = []
     for seed in range(n_seeds):
         t0 = time.time()
-        acc, scores, oracle, _ = rca_recovery_run(seed)
+        acc, scores, _, _ = rca_recovery_run(seed)
         per_seed.append(acc)
         order = np.argsort(-scores)
         print(

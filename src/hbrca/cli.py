@@ -29,10 +29,9 @@ SCHEMA_VERSION = 1
 _SECTION_KEYS = {
     "generate": {"scm", "t_total", "window", "seed", "normalize"},
     "train": {"corpus", "phase", "config", "split", "normalize"},
-    "predict": {"checkpoint", "corpus", "normalize", "allow_hash_mismatch", "seed"},
+    "predict": {"checkpoint", "corpus", "normalize", "seed"},
     "evaluate": {"truth", "predicted"},
-    "rca": {"checkpoint", "corpus", "top_k", "epsilon", "normalize",
-            "allow_hash_mismatch"},
+    "rca": {"checkpoint", "corpus", "top_k", "normalize"},
 }
 
 # check_number bounds of the numbers a section may hold (`window` may be null)
@@ -41,7 +40,6 @@ _NUMBERS = {
     "window": dict(integer=True, minimum=2),
     "seed": dict(integer=True, minimum=0),
     "top_k": dict(integer=True, minimum=1),
-    "epsilon": dict(minimum=0, above=True),
 }
 
 
@@ -74,6 +72,10 @@ def load_run_config(path: str, command: str) -> dict:
     for key in _NUMBERS.keys() & section.keys():
         if not (key == "window" and section[key] is None):
             _config(f"{command}.{key}", check_number, key, section[key], **_NUMBERS[key])
+    if not isinstance(section.get("normalize", True), bool):
+        raise ConfigError(
+            f"'{command}.normalize' must be true or false, got {section['normalize']!r}"
+        )
     return section
 
 
@@ -167,8 +169,7 @@ def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> d
     checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
-    allow = allow_mismatch or bool(section.get("allow_hash_mismatch", False))
-    _check_hash(checkpoint, digest, allow)
+    _check_hash(checkpoint, digest, allow_mismatch)
     seed = section.get("seed", 0) if seed_override is None else seed_override
     model = checkpoint.build_model()
     predicted = predict_corpus(model, corpus, checkpoint.config.tau, seed)
@@ -210,16 +211,14 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
     checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
-    allow = allow_mismatch or bool(section.get("allow_hash_mismatch", False))
-    _check_hash(checkpoint, digest, allow)
+    _check_hash(checkpoint, digest, allow_mismatch)
     top_k = section.get("top_k", min(10, corpus.n_atoms))
     if not 1 <= top_k <= corpus.n_atoms:
         raise ConfigError(
             f"'rca.top_k' is {top_k}; it must lie in [1, {corpus.n_atoms}] (the atom count)"
         )
-    eps = section.get("epsilon", 1e-8)
     model = checkpoint.build_model()
-    report, posterior = run_rca(model, corpus, k=top_k, eps=eps)
+    report, posterior = run_rca(model, corpus, k=top_k)
     export_posterior_csv(posterior, os.path.join(out_dir, "posterior.csv"))
     report.to_csv(os.path.join(out_dir, "rca_report.csv"))
     rows = {
@@ -250,18 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run config")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override run seed")
-        cmd.add_argument(
-            "--allow-hash-mismatch", action="store_true",
-            help="proceed when the corpus hash differs from the checkpoint's",
-        )
+        if name in ("generate", "train", "predict"):
+            cmd.add_argument("--seed", type=int, help="override run seed")
+        if name in ("predict", "rca"):
+            cmd.add_argument(
+                "--allow-hash-mismatch", action="store_true",
+                help="proceed when the corpus hash differs from the checkpoint's",
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             _config("--seed", check_number, "seed", args.seed, integer=True, minimum=0)
         section = load_run_config(args.config, args.command)
         os.makedirs(args.out, exist_ok=True)
@@ -275,8 +276,6 @@ def main(argv=None) -> int:
             extra = cmd_evaluate(section, args.out)
         else:
             extra = cmd_rca(section, args.out, args.allow_hash_mismatch)
-        if args.seed is not None:
-            extra.setdefault("seed", args.seed)
         write_echo(args.out, args.command, section, extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

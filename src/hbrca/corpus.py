@@ -25,6 +25,10 @@ from .rng import substream
 
 PERSIST = "persist"
 SEPARATED = "separated"
+# a window (or sample) is persist when at least PERSIST_MIN of its steps are
+# on the bonded side, separated when at most SEPARATED_MAX are, else unlabeled
+PERSIST_MIN = 0.9
+SEPARATED_MAX = 0.1
 
 _AXIS_NAMES = ("x", "y", "z")
 
@@ -157,16 +161,11 @@ def window(long_trajectory: np.ndarray, t_window: int) -> np.ndarray:
     return trimmed.reshape(n_atoms, n_win, t_window, n_dims).transpose(1, 0, 2, 3).copy()
 
 
-def window_corpus(
-    corpus: TrajectoryCorpus,
-    t_window: int,
-    persist_min: float = 0.9,
-    separated_max: float = 0.1,
-) -> TrajectoryCorpus:
+def window_corpus(corpus: TrajectoryCorpus, t_window: int) -> TrajectoryCorpus:
     """Window every sample and derive per-window regime labels.
 
-    A window counts as persist when at least `persist_min` of its steps
-    fall before the boundary, separated when at most `separated_max` do,
+    A window counts as persist when at least PERSIST_MIN of its steps
+    fall before the boundary, separated when at most SEPARATED_MAX do,
     and is left unlabeled otherwise.
     """
     parts = [window(corpus.positions[s], t_window) for s in range(corpus.n_samples)]
@@ -185,9 +184,9 @@ def window_corpus(
                 for w in range(per_sample):
                     frac_pre = min(max((b - w * t_window) / t_window, 0.0), 1.0)
                     idx = s * per_sample + w
-                    if frac_pre >= persist_min:
+                    if frac_pre >= PERSIST_MIN:
                         labels.regimes[idx] = PERSIST
-                    elif frac_pre <= separated_max:
+                    elif frac_pre <= SEPARATED_MAX:
                         labels.regimes[idx] = SEPARATED
     return replace(corpus, positions=stacked, labels=labels)
 

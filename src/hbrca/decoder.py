@@ -99,7 +99,7 @@ def step_flat(
     group = idx.n_nodes - 1
     recv = T.repeat_rows(positions, group)
     send = T.permute_rows(recv, idx.sigma, idx.sigma)
-    pair = T.concat([send, recv], axis=1)
+    pair = T.concat([send, recv])
     h_hb = T.segment_sum_rows(T.mul(params.msg_hb.forward(pair), a_hb), group)
     h_sep = T.segment_sum_rows(T.mul(params.msg_sep.forward(pair), a_sep), group)
     agg = T.matmul(h_hb, params.msg_hb_head.w)
@@ -127,6 +127,34 @@ def step(params: DecoderParams, r_t: np.ndarray, edges: np.ndarray) -> np.ndarra
     return mu.data
 
 
+def _rollout(
+    params: DecoderParams,
+    windows: np.ndarray,
+    edge_onehots: T.Tensor,
+    k: int,
+    idx: PairIndex,
+):
+    """Yields the T-1 predicted rows [B*N, D] of a window batch in time order.
+
+    Feeds its own mean prediction for k consecutive steps, then resets
+    to the ground-truth step, repeating until the window is exhausted;
+    k = T-1 never resets, which is the pure self-rollout.
+    """
+    b, n, t, d = windows.shape
+    terms = edge_terms(params, edge_onehots, idx)
+    current = T.Tensor(windows[:, :, 0, :].reshape(b * n, d))
+    since_reset = 0
+    for step_i in range(1, t):
+        mu = step_flat(params, current, terms, idx)
+        yield mu
+        since_reset += 1
+        if since_reset >= k and step_i < t - 1:
+            current = T.Tensor(windows[:, :, step_i, :].reshape(b * n, d))
+            since_reset = 0
+        else:
+            current = mu
+
+
 def rollout_train(
     params: DecoderParams,
     windows: np.ndarray,
@@ -134,29 +162,11 @@ def rollout_train(
     k: int,
     idx: PairIndex,
 ) -> list:
-    """Differentiable k-step scheduled rollout over a window batch.
-
-    Feeds its own mean prediction for k consecutive steps, then resets
-    to the ground-truth step, repeating until the window is exhausted.
-    Returns the T-1 predicted rows [B*N, D] in time order.
-    """
+    """Differentiable k-step scheduled rollout over a window batch
+    (`_rollout`); returns the T-1 predicted rows [B*N, D] in time order."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    b, n, t, d = windows.shape
-    preds = []
-    terms = edge_terms(params, edge_onehots, idx)
-    current = T.Tensor(windows[:, :, 0, :].reshape(b * n, d))
-    since_reset = 0
-    for step_i in range(1, t):
-        mu = step_flat(params, current, terms, idx)
-        preds.append(mu)
-        since_reset += 1
-        if since_reset >= k and step_i < t - 1:
-            current = T.Tensor(windows[:, :, step_i, :].reshape(b * n, d))
-            since_reset = 0
-        else:
-            current = mu
-    return preds
+    return list(_rollout(params, windows, edge_onehots, k, idx))
 
 
 def rollout_eval(
@@ -167,13 +177,11 @@ def rollout_eval(
 ) -> np.ndarray:
     """Pure self-rollout from the first step; returns [B, N, T-1, D]."""
     b, n, t, d = windows.shape
+    preds = np.empty((t - 1, b * n, d))
+    steps = _rollout(params, windows, T.Tensor(edge_onehots), t - 1, idx)
     with T.no_grad():
-        current = T.Tensor(windows[:, :, 0, :].reshape(b * n, d))
-        terms = edge_terms(params, T.Tensor(edge_onehots), idx)
-        preds = np.empty((t - 1, b * n, d))
-        for step_i in range(t - 1):
-            current = step_flat(params, current, terms, idx)
-            preds[step_i] = current.data
+        for step_i, mu in enumerate(steps):
+            preds[step_i] = mu.data
     T.assert_finite(preds, "decoder rollout")
     return preds.transpose(1, 0, 2).reshape(b, n, t - 1, d)
 

@@ -16,7 +16,7 @@ from .corpus import SplitSpec, TrajectoryCorpus, normalize, split_windows, windo
 from .errors import ParameterError
 from .metrics import mae, mse
 from .model import predict_windows
-from .rca import GroundTruthOracle, rank_descending, ranking_accuracy, rca_scores
+from .rca import run_rca
 from .springs import EDGE_ATTRACT, EDGE_SWITCHED, ScmSpec, simulate
 from .training import TrainConfig, train
 
@@ -28,6 +28,8 @@ from .training import TrainConfig, train
 RECOVERY_LAMBDA_REC = 3000.0
 RECOVERY_T_TOTAL = 800
 RECOVERY_T_WINDOW = 5
+RECOVERY_TOP_K = 2  # the change set's size
+TREND_T_TOTAL = 10_000
 TREND_T_VALUES = (50, 25, 10, 5)
 
 
@@ -85,66 +87,42 @@ def rca_recovery_spec(
     )
 
 
-def build_rca_corpus(
-    spec: ScmSpec,
-    seed: int,
-    t_total: int = RECOVERY_T_TOTAL,
-    t_window: int = RECOVERY_T_WINDOW,
-) -> TrajectoryCorpus:
-    long_corpus, _ = simulate(spec, t_total, seed)
-    return normalize(window_corpus(long_corpus, t_window))
+def build_rca_corpus(spec: ScmSpec, seed: int) -> TrajectoryCorpus:
+    long_corpus, _ = simulate(spec, RECOVERY_T_TOTAL, seed)
+    return normalize(window_corpus(long_corpus, RECOVERY_T_WINDOW))
 
 
-def rca_recovery_run(
-    seed: int,
-    t_total: int = RECOVERY_T_TOTAL,
-    t_window: int = RECOVERY_T_WINDOW,
-    top_k: int = 2,
-    config: TrainConfig | None = None,
-    spec_kwargs: dict | None = None,
-    log=None,
-):
-    """Train with the RCA recipe and compare top-k sets to the oracles.
+def rca_recovery_run(seed: int, spec_kwargs: dict | None = None):
+    """Train with the RCA recipe and compare top-2 sets to the oracles.
 
-    Returns (accuracy dict per oracle metric, model scores, oracle).
+    Returns (accuracy dict per oracle metric, model scores,
+    window-averaged posterior, spec), the first three from `run_rca`.
     """
     spec = rca_recovery_spec(seed, **(spec_kwargs or {}))
-    corpus = build_rca_corpus(spec, seed, t_total, t_window)
-    if config is None:
-        config = recovery_config(seed)
-    checkpoint = train(config, corpus, SplitSpec(seed=seed), log=log)
-    model = checkpoint.build_model()
-    scores, _ = rca_scores(model, corpus)
-    oracle = GroundTruthOracle.fit(corpus)
-    model_top = rank_descending(scores)[:top_k]
-    accuracy = {
-        metric: ranking_accuracy(model_top, oracle.top_k(metric, top_k), top_k)
-        for metric in ("kl", "wasserstein", "expectation")
-    }
-    return accuracy, scores, oracle, spec
+    corpus = build_rca_corpus(spec, seed)
+    checkpoint = train(recovery_config(seed), corpus, SplitSpec(seed=seed))
+    report, posterior = run_rca(checkpoint.build_model(), corpus, k=RECOVERY_TOP_K)
+    return report.accuracy, report.scores, posterior, spec
 
 
-def trend_spec(seed: int, n_nodes: int = 5) -> ScmSpec:
-    """Stationary spring system without interventions (prediction runs).
+def trend_spec(seed: int) -> ScmSpec:
+    """Stationary 5-node spring system without interventions (prediction runs).
 
-    Two walls, two strongly bound mobiles and one loosely bound mobile
-    give the predictor both easy and hard targets.
+    Two walls (0, 1), two strongly bound mobiles (2, 3) and one loosely
+    bound mobile (4) give the predictor both easy and hard targets.
     """
     rng = np.random.default_rng(seed)
-    adjacency = np.zeros((n_nodes, n_nodes), dtype=int)
+    adjacency = np.zeros((5, 5), dtype=int)
     adjacency[0, 2] = EDGE_ATTRACT
     adjacency[1, 3] = EDGE_ATTRACT
-    for m in range(4, n_nodes):
-        adjacency[m % 2, m] = EDGE_SWITCHED
-    init = rng.normal(0.0, 0.15, size=(n_nodes, 3))
+    adjacency[0, 4] = EDGE_SWITCHED
+    init = rng.normal(0.0, 0.15, size=(5, 3))
     init[0, 0] += 0.9
     init[1, 0] -= 0.9
-    init[2] = init[0] + rng.normal(0.0, 0.02, size=3)
-    init[3] = init[1] + rng.normal(0.0, 0.02, size=3)
-    for m in range(4, n_nodes):
-        init[m] = init[m % 2] + rng.normal(0.0, 0.02, size=3)
+    for mobile, wall in ((2, 0), (3, 1), (4, 0)):
+        init[mobile] = init[wall] + rng.normal(0.0, 0.02, size=3)
     return ScmSpec(
-        n_nodes=n_nodes,
+        n_nodes=5,
         n_dims=3,
         adjacency=adjacency,
         k_attract=19.0,
@@ -156,10 +134,9 @@ def trend_spec(seed: int, n_nodes: int = 5) -> ScmSpec:
     )
 
 
-def build_trend_corpus(seed: int, t_total: int = 10_000) -> TrajectoryCorpus:
+def build_trend_corpus(seed: int) -> TrajectoryCorpus:
     """One long trajectory, normalized; callers window it per T."""
-    spec = trend_spec(seed)
-    long_corpus, _ = simulate(spec, t_total, seed)
+    long_corpus, _ = simulate(trend_spec(seed), TREND_T_TOTAL, seed)
     return normalize(long_corpus)
 
 
@@ -187,21 +164,18 @@ def prediction_trend(epochs: int, log=None) -> list:
     return rows
 
 
-def degenerate_spec(seed: int, n_nodes: int = 10) -> ScmSpec:
+def degenerate_spec(seed: int) -> ScmSpec:
     """No intervention anywhere: both halves share every mechanism."""
-    return rca_recovery_spec(seed, n_nodes=n_nodes, change_set=())
+    return rca_recovery_spec(seed, change_set=())
 
 
-def build_degenerate_corpus(
-    seed: int, t_total: int = RECOVERY_T_TOTAL, t_window: int = RECOVERY_T_WINDOW
-) -> TrajectoryCorpus:
+def build_degenerate_corpus(seed: int) -> TrajectoryCorpus:
     """Statistically identical persist/separated halves.
 
     Same scaffold-and-springs system as the recovery corpus but without
     a change set; windows are labeled by an artificial midpoint boundary
     so the RCA pipeline sees both regimes.
     """
-    spec = degenerate_spec(seed)
-    long_corpus, _ = simulate(spec, t_total, seed)
-    long_corpus.labels.boundary_step = t_total // 2
-    return normalize(window_corpus(long_corpus, t_window))
+    long_corpus, _ = simulate(degenerate_spec(seed), RECOVERY_T_TOTAL, seed)
+    long_corpus.labels.boundary_step = RECOVERY_T_TOTAL // 2
+    return normalize(window_corpus(long_corpus, RECOVERY_T_WINDOW))

@@ -53,10 +53,11 @@ class PairIndex:
             self.receivers = np.tile(self.receivers, batch)
         self.sigma = sigma  # self-inverse transpose permutation
 
-    def to_matrix(self, flat: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """[E, F] per-pair rows (one sample) -> [N, N, F] with i=sender."""
+    def to_matrix(self, flat: np.ndarray) -> np.ndarray:
+        """[E, F] per-pair rows (one sample) -> [N, N, F] with i=sender and
+        a zero diagonal."""
         n = self.n_nodes
-        out = np.full((n, n) + flat.shape[1:], fill)
+        out = np.zeros((n, n) + flat.shape[1:])
         base_s = self.senders[: self.n_pairs]
         base_r = self.receivers[: self.n_pairs]
         out[base_s, base_r] = flat[: self.n_pairs]

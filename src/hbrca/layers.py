@@ -25,6 +25,15 @@ from .rng import gumbel
 
 ACTIVATIONS = ("elu", "relu")
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# step schedule: the learning rate is multiplied by LR_DECAY every LR_DECAY_EVERY epochs
+LR_DECAY = 0.1
+LR_DECAY_EVERY = 200
+
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
     """uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for weight and bias.
@@ -43,16 +52,14 @@ class BatchNorm:
     """Row-axis batch normalization with running statistics.
 
     Training mode normalizes with the current batch's mean/variance
-    (biased) and updates the running buffers; eval mode uses the
-    running buffers only.
+    (biased) and updates the running buffers with momentum BN_MOMENTUM;
+    eval mode uses the running buffers only.
     """
 
     gamma: T.Tensor
     beta: T.Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
     @classmethod
     def create(cls, width: int) -> "BatchNorm":
@@ -65,12 +72,12 @@ class BatchNorm:
 
     def forward(self, x: T.Tensor, training: bool) -> T.Tensor:
         if training:
-            out, mean, var = T.batchnorm_rows(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
+            out, mean, var = T.batchnorm_rows(x, self.gamma, self.beta, BN_EPS)
+            m = BN_MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
             return out
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
         return T.batchnorm_eval(x, self.gamma, self.beta, self.running_mean, inv)
 
     def parameters(self, prefix: str) -> dict:
@@ -185,9 +192,6 @@ class Linear:
 class AdamState:
     """Per-parameter first/second moment accumulators plus step count."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -200,7 +204,7 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
             raise NumericalError(f"non-finite gradient for '{name}', step rejected")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name, p in params.items():
@@ -214,13 +218,13 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         T.assert_finite(p.data, f"parameter '{name}' after Adam step")
 
 
-def decayed_lr(lr0: float, epoch: int, decay: float = 0.1, every: int = 200) -> float:
-    """Step schedule: multiply by `decay` at epochs 200, 400, ..."""
-    return lr0 * decay ** (epoch // every)
+def decayed_lr(lr0: float, epoch: int) -> float:
+    """Step schedule: multiply by LR_DECAY at epochs 200, 400, ..."""
+    return lr0 * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 # -- categorical relaxation -------------------------------------------------
@@ -235,9 +239,10 @@ def gumbel_softmax(
 ):
     """Sample from softmax((logits + g) / tau) with standard Gumbel g.
 
-    Concrete mode returns a differentiable Tensor of relaxed one-hots.
-    Hard mode returns exact one-hot rows (a plain array, no gradient),
-    which is an exact categorical sample by the Gumbel-max property.
+    `logits` is [R, K]. Concrete mode returns a differentiable Tensor of
+    relaxed one-hots. Hard mode returns exact one-hot rows (a plain
+    array, no gradient), which is an exact categorical sample by the
+    Gumbel-max property.
     `noise` overrides the Gumbel draw (used by gradient checks).
     """
     if tau <= 0.0:
@@ -251,6 +256,4 @@ def gumbel_softmax(
         out = np.zeros_like(perturbed)
         np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
         return out
-    flat = T.reshape(logits_t, (-1, logits_t.data.shape[-1]))
-    y = T.softmax_rows(T.mul(T.add(flat, noise.reshape(flat.data.shape)), 1.0 / tau))
-    return T.reshape(y, logits_t.data.shape)
+    return T.softmax_rows(T.mul(T.add(logits_t, noise), 1.0 / tau))

@@ -10,7 +10,7 @@ distribution to changes in individual causal mechanisms):
     score(i) = sum_j KL(Cat(qbar_sep(j -> i)) || Cat(qbar_persist(j -> i)))
 
 where qbar_r is the eval-mode edge-type posterior averaged over the
-windows of regime r and clipped at eps. Statistically identical regimes
+windows of regime r and clipped at EPS. Statistically identical regimes
 give identical averages and a score of 0; a fixed asymmetry between the
 hb and sep channels, which both regimes share, cancels.
 
@@ -40,6 +40,8 @@ from .errors import DataError, ParameterError
 from .model import ModelParams, encode_windows, mean_posterior
 
 NO_CHANGE_THRESHOLD = 1e-3
+# floor of every probability a score divides by or takes the log of
+EPS = 1e-8
 
 REGIME_CONTRAST_SCORE = "regime-contrast"
 CHANNEL_SCORE = "channel"
@@ -59,36 +61,30 @@ def bernoulli_kl(p_new: np.ndarray, p_old: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_eps(eps: float) -> None:
-    if eps <= 0:
-        raise ParameterError("smoothing epsilon must be positive")
-
-
-def _edge_kl(probs: np.ndarray, eps: float) -> np.ndarray:
+def _edge_kl(probs: np.ndarray) -> np.ndarray:
     """Per-edge channel divergence for posterior rows [..., 3]."""
-    _check_eps(eps)
-    p_hb = np.clip(probs[..., 1], eps, 1.0 - eps)
-    p_sep = np.clip(probs[..., 2], eps, 1.0 - eps)
+    p_hb = np.clip(probs[..., 1], EPS, 1.0 - EPS)
+    p_sep = np.clip(probs[..., 2], EPS, 1.0 - EPS)
     return bernoulli_kl(p_sep, p_hb)
 
 
-def node_scores(posterior: EdgePosterior, eps: float = 1e-8) -> np.ndarray:
+def node_scores(posterior: EdgePosterior) -> np.ndarray:
     """Mechanism-change score per node from one posterior.
 
     score(i) sums KL(B(p_sep) || B(p_hb)) over the incoming edges
-    (j -> i); channel probabilities are clipped to [eps, 1 - eps]
+    (j -> i); channel probabilities are clipped to [EPS, 1 - EPS]
     before the divergence so no zero can be hit.
     """
     n = posterior.n_nodes
-    kl = _edge_kl(posterior.probs, eps)
+    kl = _edge_kl(posterior.probs)
     off = ~np.eye(n, dtype=bool)
     kl = np.where(off, kl, 0.0)
     return kl.sum(axis=0)
 
 
-def node_scores_from_flat(probs_flat: np.ndarray, n_nodes: int, eps: float = 1e-8):
+def node_scores_from_flat(probs_flat: np.ndarray, n_nodes: int):
     """Vectorized per-window scores for stacked flat posteriors [S, E, 3]."""
-    kl = _edge_kl(probs_flat, eps)
+    kl = _edge_kl(probs_flat)
     # receiver-major layout: incoming edges of each node are contiguous
     return kl.reshape(kl.shape[0], n_nodes, n_nodes - 1).sum(axis=2)
 
@@ -112,19 +108,18 @@ def score_kind(corpus: TrajectoryCorpus) -> str:
 
 
 def regime_contrast_scores(
-    probs_flat: np.ndarray, n_nodes: int, persist, separated, eps: float = 1e-8
+    probs_flat: np.ndarray, n_nodes: int, persist, separated
 ) -> np.ndarray:
     """score(i) = sum_j KL(Cat(qbar_sep(j->i)) || Cat(qbar_persist(j->i))).
 
     `probs_flat` stacks per-window posteriors [S, E, 3]; `persist` and
     `separated` index its windows. Each regime's mean posterior is
-    clipped at eps and renormalized, so every KL term is finite and
+    clipped at EPS and renormalized, so every KL term is finite and
     identical regime means score exactly 0.
     """
-    _check_eps(eps)
 
     def regime_mean(idx):
-        q = np.maximum(probs_flat[idx].mean(axis=0), eps)
+        q = np.maximum(probs_flat[idx].mean(axis=0), EPS)
         return q / q.sum(axis=-1, keepdims=True)
 
     q_sep = regime_mean(separated)
@@ -246,7 +241,6 @@ class RcaReport:
     atom_names: list
     k: int
     accuracy: dict = field(default_factory=dict)
-    threshold: float = NO_CHANGE_THRESHOLD
     score: str = CHANNEL_SCORE
 
     @property
@@ -259,7 +253,7 @@ class RcaReport:
 
     @property
     def no_change_detected(self) -> bool:
-        return bool(np.max(self.scores) < self.threshold)
+        return bool(np.max(self.scores) < NO_CHANGE_THRESHOLD)
 
     def to_csv(self, path=None) -> str:
         out = io.StringIO()
@@ -303,9 +297,7 @@ def aggregate_accuracy(per_seed: list) -> dict:
     return rows
 
 
-def rca_scores(
-    model: ModelParams, corpus: TrajectoryCorpus, eps: float = 1e-8
-):
+def rca_scores(model: ModelParams, corpus: TrajectoryCorpus):
     """(per-node scores, window-averaged posterior) for a whole corpus.
 
     Scores come from the eval-mode posterior: the regime contrast when
@@ -317,22 +309,17 @@ def rca_scores(
     probs, _ = encode_windows(model, corpus.positions)
     regimes = regime_windows(corpus)
     if regimes is None:
-        scores = node_scores_from_flat(probs, corpus.n_atoms, eps).mean(axis=0)
+        scores = node_scores_from_flat(probs, corpus.n_atoms).mean(axis=0)
     else:
-        scores = regime_contrast_scores(probs, corpus.n_atoms, *regimes, eps)
+        scores = regime_contrast_scores(probs, corpus.n_atoms, *regimes)
     return scores, mean_posterior(probs, corpus.n_atoms)
 
 
-def run_rca(
-    model: ModelParams,
-    corpus: TrajectoryCorpus,
-    k: int = 10,
-    eps: float = 1e-8,
-):
+def run_rca(model: ModelParams, corpus: TrajectoryCorpus, k: int = 10):
     """Full RCA pass: scores, report with oracle accuracies, posterior."""
     if k > corpus.n_atoms:
         raise ParameterError(f"k = {k} exceeds node count {corpus.n_atoms}")
-    scores, posterior = rca_scores(model, corpus, eps)
+    scores, posterior = rca_scores(model, corpus)
     accuracy = {}
     try:
         oracle = GroundTruthOracle.fit(corpus)

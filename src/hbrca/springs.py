@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .corpus import RegimeLabels, TrajectoryCorpus
+from .corpus import PERSIST_MIN, SEPARATED_MAX, RegimeLabels, TrajectoryCorpus
 from .errors import ConfigError, InstabilityError, ParameterError, check_number
 from .rng import substream
 
@@ -206,18 +206,13 @@ def hb_indicator(
     return (dist <= criterion.cutoff) & (angle >= criterion.min_angle_deg)
 
 
-def label_hb_events(
-    corpus: TrajectoryCorpus,
-    criterion: HbCriterion,
-    persist_min: float = 0.9,
-    separated_max: float = 0.1,
-) -> RegimeLabels:
+def label_hb_events(corpus: TrajectoryCorpus, criterion: HbCriterion) -> RegimeLabels:
     """Label each sample persist/separated from its bond indicator.
 
     Requires donor/hydrogen/acceptor roles in the corpus metadata; with
     several role triples the indicator is their conjunction. Samples
-    where the bond holds at least `persist_min` of the time are persist,
-    at most `separated_max` separated, anything between is dropped.
+    where the bond holds at least PERSIST_MIN of the time are persist,
+    at most SEPARATED_MAX separated, anything between is dropped.
     """
     if not corpus.roles:
         raise ConfigError("corpus metadata does not designate donor/H/acceptor roles")
@@ -238,8 +233,8 @@ def label_hb_events(
                 criterion,
             )
         frac = held.mean()
-        if frac >= persist_min:
+        if frac >= PERSIST_MIN:
             labels.regimes[s] = "persist"
-        elif frac <= separated_max:
+        elif frac <= SEPARATED_MAX:
             labels.regimes[s] = "separated"
     return labels

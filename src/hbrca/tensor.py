@@ -266,46 +266,28 @@ def absolute(a) -> Tensor:
 # -- reductions & reshaping ----------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum of every entry, as a 0-d tensor."""
     a = _wrap(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.reshape(shape)
+    out_data = a.data.sum()
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _node(out_data, (a,), backward)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Column-wise concatenation of 2-D tensors."""
     tensors = [_wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+    out_data = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(index)])
+                t._accumulate(g[:, lo:hi])
 
     return _node(out_data, tuple(tensors), backward)
 

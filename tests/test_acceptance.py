@@ -333,7 +333,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 def test_criterion_9_degenerate_mechanism_zero():
     """No intervention: statistically identical regimes must produce
     node scores below 1e-3 and a no-change flag."""
-    corpus = build_degenerate_corpus(seed=3, t_total=800)
+    corpus = build_degenerate_corpus(seed=3)
     config = TrainConfig.rca(seed=3)
     ckpt = train(config, corpus, SplitSpec(seed=3))
     model = ckpt.build_model()

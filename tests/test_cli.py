@@ -336,8 +336,10 @@ def test_seed_flag_overrides_config(workdir):
     (lambda g: g.update(window=300), "window"),
     (lambda g: g["scm"].update(n_dims=4), "n_dims"),
     (lambda g: g["scm"].update(init_positions="abc"), "init_positions"),
+    (lambda g: g.update(normalize="false"), "normalize"),
 ], ids=["no-n_nodes", "edge-off-graph", "t_total-text", "step_size-negative",
-        "window-1", "t_total-1", "window-above-t_total", "n_dims-4", "init_positions-text"])
+        "window-1", "t_total-1", "window-above-t_total", "n_dims-4", "init_positions-text",
+        "normalize-text"])
 def test_bad_generate_value_gives_exit_2(workdir, change, key, capsys):
     doc = generate_config()
     change(doc["generate"])
@@ -366,8 +368,16 @@ def trained(tmp_path_factory):
     ("rca", {"epsilon": 0}, [], "epsilon"),
     ("rca", {"top_k": "x"}, [], "top_k"),
     ("rca", {"top_k": 2.7}, [], "top_k"),
+    ("rca", {"epsilon": 0.7}, [], "epsilon"),
+    ("predict", {"allow_hash_mismatch": "false"}, [], "allow_hash_mismatch"),
+    ("rca", {"allow_hash_mismatch": True}, [], "allow_hash_mismatch"),
+    ("train", {"normalize": "false"}, [], "normalize"),
+    ("predict", {"normalize": "false"}, [], "normalize"),
+    ("rca", {"normalize": 0}, [], "normalize"),
 ], ids=["train-seed-negative", "predict-seed-negative", "seed-flag-negative",
-        "rca-epsilon-0", "rca-top_k-text", "rca-top_k-fraction"])
+        "rca-epsilon-0", "rca-top_k-text", "rca-top_k-fraction", "rca-epsilon-0.7",
+        "predict-allow_hash_mismatch", "rca-allow_hash_mismatch", "train-normalize-text",
+        "predict-normalize-text", "rca-normalize-0"])
 def test_bad_section_value_gives_exit_2(trained, tmp_path, command, values, flags, key,
                                         capsys):
     corpus, checkpoint = trained
@@ -377,6 +387,24 @@ def test_bad_section_value_gives_exit_2(trained, tmp_path, command, values, flag
     path = write_config(tmp_path / "c.json", {"schema_version": 1, command: section})
     assert main([command, "--config", path, "--out", str(tmp_path / "o")] + flags) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("evaluate", ["--seed", "1"]),
+    ("rca", ["--seed", "1"]),
+    ("generate", ["--allow-hash-mismatch"]),
+    ("train", ["--allow-hash-mismatch"]),
+    ("evaluate", ["--allow-hash-mismatch"]),
+], ids=["evaluate-seed", "rca-seed", "generate-allow-hash-mismatch",
+        "train-allow-hash-mismatch", "evaluate-allow-hash-mismatch"])
+def test_command_rejects_flag_it_does_not_take(tmp_path, command, flag, capsys):
+    """Only generate, train and predict draw randomness (--seed), and only
+    predict and rca compare corpus hashes (--allow-hash-mismatch)."""
+    path = write_config(tmp_path / "c.json", generate_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--out", str(tmp_path / "o")] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def _version_1(doc):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hbrca.decoder import DecoderParams, rollout, step
+from hbrca.decoder import DecoderParams, rollout, rollout_eval, rollout_train, step
 from hbrca.errors import DimensionError, ParameterError
+from hbrca.graph import pair_index
+from hbrca.tensor import Tensor, no_grad
 
 
 def zero_decoder(d=2):
@@ -140,6 +142,21 @@ def test_rollout_k_equal_t_is_pure_self_rollout(rng):
     scheduled = rollout(params, teacher[:, 0, :], edges, k=t, teacher=teacher)
     free = rollout(params, teacher[:, 0, :], edges, k=t, n_steps=t - 1)
     assert np.max(np.abs(scheduled - free)) < 1e-12
+
+
+def test_eval_rollout_is_the_t_minus_1_schedule_bitwise(rng):
+    """A batch self-rollout equals the scheduled rollout at k = T-1 under
+    no_grad, bit for bit."""
+    b, n, t, d = 4, 5, 50, 3
+    params = DecoderParams.create(rng, d)
+    windows = rng.normal(size=(b, n, t, d))
+    edges = np.eye(3)[rng.integers(0, 3, size=b * n * (n - 1))]
+    idx = pair_index(n, b)
+    with no_grad():
+        scheduled = rollout_train(params, windows, Tensor(edges), t - 1, idx)
+    expect = np.stack([mu.data for mu in scheduled]).reshape(t - 1, b, n, d)
+    assert np.array_equal(rollout_eval(params, windows, edges, idx),
+                          expect.transpose(1, 2, 0, 3))
 
 
 def test_rollout_reintroduces_truth_every_k(rng):

@@ -13,6 +13,7 @@ from hbrca.encoder import (
     sample_edges,
 )
 from hbrca.errors import DimensionError, ParameterError
+from hbrca.layers import BN_EPS
 
 def zero_params(n_in, hidden=4):
     rng = np.random.default_rng(0)
@@ -55,7 +56,7 @@ def _mlp_scalar(x, m):
         out = []
         for j, v in enumerate(h):
             xh = (v - m.bn.running_mean[0, j]) / math.sqrt(
-                m.bn.running_var[0, j] + m.bn.eps
+                m.bn.running_var[0, j] + BN_EPS
             )
             out.append(xh * m.bn.gamma.data[0, j] + m.bn.beta.data[0, j])
         h = out

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hbrca import tensor as T
 from hbrca.errors import DimensionError, NumericalError, ParameterError
 from hbrca.layers import (
+    BN_EPS,
     AdamState,
     BatchNorm,
     Mlp2,
@@ -98,7 +99,7 @@ def test_batchnorm_eval_uses_running_stats(rng):
     y_train = bn.forward(Tensor(x), training=True)
     assert abs(float(y_train.data.mean())) < 1e-9  # batch stats center the output
     y_eval = bn.forward(Tensor(x), training=False).data
-    expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    expect = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y_eval, expect)
 
 

@@ -15,6 +15,7 @@ from hbrca import tensor as T
 from hbrca.decoder import DecoderParams, edge_terms, step_flat
 from hbrca.encoder import EncoderParams, encode_logits
 from hbrca.graph import pair_index
+from hbrca.layers import BN_EPS
 
 B, N = 3, 4
 REL_TOL = 1e-12
@@ -51,7 +52,7 @@ def _mlp(m, x, act, training=False):
         var = ((h - mean) ** 2).mean(axis=0, keepdims=True)
     else:
         mean, var = m.bn.running_mean, m.bn.running_var
-    return (h - mean) / np.sqrt(var + m.bn.eps) * m.bn.gamma.data + m.bn.beta.data
+    return (h - mean) / np.sqrt(var + BN_EPS) * m.bn.gamma.data + m.bn.beta.data
 
 
 def _encoder_reference(params, windows, training):

@@ -58,7 +58,7 @@ def test_single_edge_bernoulli_arithmetic():
     p_hb[1, 0] = 0.4  # keep the reverse edge symmetric-channel
     p_sep[1, 0] = 0.4
     post = posterior_from_channels(p_hb, p_sep)
-    scores = node_scores(post, eps=1e-8)
+    scores = node_scores(post)
     expect = 0.9 * math.log(9.0) + 0.1 * math.log(1.0 / 9.0)
     assert abs(scores[1] - expect) < 1e-9
     assert abs(expect - 1.7578) < 1e-4
@@ -81,7 +81,7 @@ def test_extreme_probabilities_are_smoothed():
     p_hb = np.array([[0.0, 1.0], [0.0, 0.0]])
     p_sep = np.array([[0.0, 0.0], [1.0, 0.0]])
     post = posterior_from_channels(p_hb, p_sep)
-    scores = node_scores(post, eps=1e-8)
+    scores = node_scores(post)
     assert np.all(np.isfinite(scores))
 
 
@@ -141,12 +141,6 @@ def test_changed_incoming_edge_ranks_receiver_first(rng):
     assert rank_descending(scores)[0] == receiver
     assert scores[receiver] > 0.5
     assert scores[sender] < 1e-3
-
-
-def test_regime_contrast_rejects_nonpositive_eps(rng):
-    probs = rng.dirichlet(np.ones(3), size=(2, 6))
-    with pytest.raises(ParameterError):
-        regime_contrast_scores(probs, 3, [0], [1], eps=0.0)
 
 
 def _tiny_model_and_corpus(regimes):

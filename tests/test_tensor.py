@@ -119,7 +119,7 @@ def test_composite_graph_matches_finite_differences(rng):
         w = Tensor(w_arr, requires_grad=True)
         recv = T.repeat_rows(x, n - 1)
         send = T.permute_rows(recv, sigma, sigma)
-        pair = T.concat([send, recv], axis=1)
+        pair = T.concat([send, recv])
         h = T.mlp2(T.matmul(pair, w), np.eye(5), np.zeros((1, 5)), "elu")
         y = T.softmax_rows(h)
         agg = T.segment_sum_rows(T.log(T.add(y, 0.1)), n - 1)
