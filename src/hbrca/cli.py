@@ -106,13 +106,21 @@ def _load_corpus(path: str, do_normalize: bool):
     return corpus
 
 
-def _check_hash(checkpoint: Checkpoint, digest: str, allow_mismatch: bool) -> None:
+def _check_corpus(checkpoint: Checkpoint, corpus, digest: str, allow_mismatch: bool) -> None:
+    """The corpus must be the training corpus (unless allowed) and must
+    have the window length and dimension the checkpoint was built for."""
     if checkpoint.corpus_hash != digest and not allow_mismatch:
         raise DataError(
             "corpus hash does not match the checkpoint's training corpus "
             f"({digest[:12]}... vs {checkpoint.corpus_hash[:12]}...); "
             "pass --allow-hash-mismatch to proceed"
         )
+    for key, value in (("t_window", corpus.n_steps), ("n_dims", corpus.n_dims)):
+        if checkpoint.arch.get(key) != value:
+            raise DataError(
+                f"corpus has {key} {value}, the checkpoint was trained with "
+                f"{key} {checkpoint.arch.get(key)}"
+            )
 
 
 # -- commands -------------------------------------------------------------------
@@ -169,7 +177,7 @@ def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> d
     checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
-    _check_hash(checkpoint, digest, allow_mismatch)
+    _check_corpus(checkpoint, corpus, digest, allow_mismatch)
     seed = section.get("seed", 0) if seed_override is None else seed_override
     model = checkpoint.build_model()
     predicted = predict_corpus(model, corpus, checkpoint.config.tau, seed)
@@ -211,7 +219,7 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
     checkpoint = Checkpoint.load(section["checkpoint"])
     corpus = _load_corpus(section["corpus"], section.get("normalize", True))
     digest = corpus_mod.corpus_hash(corpus)
-    _check_hash(checkpoint, digest, allow_mismatch)
+    _check_corpus(checkpoint, corpus, digest, allow_mismatch)
     top_k = section.get("top_k", min(10, corpus.n_atoms))
     if not 1 <= top_k <= corpus.n_atoms:
         raise ConfigError(

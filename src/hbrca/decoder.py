@@ -14,6 +14,28 @@ with a_j the edge-type weight of pair j -> i and h_j the message
 network's hidden output. The bias term depends on the edges alone and
 is built once per rollout (`edge_terms`). Results match the per-pair
 form up to rounding in the last bits.
+
+A transition (`step_flat`) is one tape node. Its forward runs on plain
+arrays: the [sender, receiver] pair rows, both message networks, the
+edge-type weighting and per-receiver sums, the two message heads, the
+node network, the output head and the residual. It keeps only what its
+backward reads: the pair rows, each network's hidden and output
+activations, the per-receiver sums and the aggregate. The perceptrons
+are `tensor._perceptron`, the same math (one ReLU kernel, one slope rule)
+as `tensor.mlp2`.
+
+The backward is the op-by-op chain's backward written out. It adds into
+each gradient with the same expressions, in the same order:
+  1. the residual's term into the positions;
+  2. the output head, then the node network;
+  3. the aggregate's gradient into the bias term;
+  4. for the hb and then the sep network: its head, its edge column, and
+     the network itself; the two pair-row gradients are summed;
+  5. the pair-path term into the positions.
+Steps run in the tape's order, so gradients are bit for bit those of
+the unfused chain. A chained step's positions still take three separate
+additions: the loss term, then the next step's residual, then its pair
+path.
 """
 
 from __future__ import annotations
@@ -88,24 +110,84 @@ def edge_terms(params: DecoderParams, edge_onehots: T.Tensor, idx: PairIndex) ->
     return a_hb, a_sep, bias
 
 
+def _net_forward(net: Mlp2, x: np.ndarray) -> tuple:
+    """(hidden, out) of a ReLU network on plain arrays, layer 1 included."""
+    act, _ = T._activation(net.activation)
+    hidden, out = T._perceptron(x @ net.w1.data + net.b1.data, net.w2.data, net.b2.data, act)
+    T.assert_finite(out, "mlp2 output")
+    return hidden, out
+
+
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: T.Tensor, b: T.Tensor | None) -> None:
+    """Adds the gradients of x @ w (+ b) under upstream gradient g."""
+    if b is not None and b.requires_grad:
+        b._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+    if w.requires_grad:
+        w._accumulate(x.T @ g, owned=True)
+
+
+def _net_backward(net: Mlp2, x, hidden, out, g, x_grad: bool):
+    """Backward of `_net_forward` (scales g in place); returns dL/dx or None."""
+    _, slope = T._activation(net.activation)
+    dh = T._perceptron_backward(g, hidden, out, net.w2, net.b2, slope)
+    _affine_backward(dh, x, net.w1, net.b1)
+    return dh @ net.w1.data.T if x_grad else None
+
+
 def step_flat(
     params: DecoderParams,
     positions: T.Tensor,
     terms: tuple,
     idx: PairIndex,
 ) -> T.Tensor:
-    """One transition on flattened rows: [B*N, D] -> [B*N, D]; `terms` from `edge_terms`."""
+    """One transition on flattened rows: [B*N, D] -> [B*N, D]; `terms` from
+    `edge_terms`. One tape node; see the module docstring."""
     a_hb, a_sep, bias = terms
     group = idx.n_nodes - 1
-    recv = T.repeat_rows(positions, group)
-    send = T.permute_rows(recv, idx.sigma, idx.sigma)
-    pair = T.concat([send, recv])
-    h_hb = T.segment_sum_rows(T.mul(params.msg_hb.forward(pair), a_hb), group)
-    h_sep = T.segment_sum_rows(T.mul(params.msg_sep.forward(pair), a_sep), group)
-    agg = T.matmul(h_hb, params.msg_hb_head.w)
-    agg = T.add(T.add(agg, T.matmul(h_sep, params.msg_sep_head.w)), bias)
-    delta = params.out_head.forward(params.node.forward(agg))
-    return T.add(positions, delta)
+    nets = (params.msg_hb, params.msg_sep)
+    heads = (params.msg_hb_head, params.msg_sep_head)
+    weights = (a_hb, a_sep)
+    recv = np.repeat(positions.data, group, axis=0)
+    pair = np.concatenate([recv[idx.sigma], recv], axis=1)
+    msgs = [_net_forward(net, pair) for net in nets]
+    summed = [(out * a.data).reshape(-1, group, out.shape[1]).sum(axis=1)
+              for (_, out), a in zip(msgs, weights)]
+    agg = summed[0] @ heads[0].w.data
+    agg = agg + summed[1] @ heads[1].w.data
+    agg = agg + bias.data
+    node_hidden, node_out = _net_forward(params.node, agg)
+    out_w, out_b = params.out_head.w, params.out_head.b
+    out_data = positions.data + (node_out @ out_w.data + out_b.data)
+
+    def backward(g):
+        if positions.requires_grad:
+            positions._accumulate(g)
+        _affine_backward(g, node_out, out_w, out_b)
+        g_agg = _net_backward(params.node, agg, node_hidden, node_out, g @ out_w.data.T, True)
+        if bias.requires_grad:
+            bias._accumulate(g_agg)
+        g_pair = None
+        for net, head, a, (hidden, out), h in zip(nets, heads, weights, msgs, summed):
+            _affine_backward(g_agg, h, head.w, None)
+            g_rows = np.repeat(g_agg @ head.w.data.T, group, axis=0)
+            if a.requires_grad:
+                a._accumulate((g_rows * out).sum(axis=1, keepdims=True), owned=True)
+            g_rows *= a.data
+            d_pair = _net_backward(net, pair, hidden, out, g_rows, positions.requires_grad)
+            if g_pair is None:
+                g_pair = d_pair
+            else:
+                g_pair += d_pair
+        if positions.requires_grad:
+            d = positions.data.shape[1]
+            g_recv = g_pair[:, d:] + g_pair[:, :d][idx.sigma]
+            positions._accumulate(g_recv.reshape(-1, group, d).sum(axis=1), owned=True)
+
+    parents = (positions, a_hb, a_sep, bias)
+    for net in (*nets, params.node):
+        parents += (net.w1, net.b1, net.w2, net.b2)
+    parents += (heads[0].w, heads[1].w, out_w, out_b)
+    return T._node(out_data, parents, backward)
 
 
 def step(params: DecoderParams, r_t: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ node that applies both activations and layer 2 with a hand-written
 backward. Batch norm follows as one more node in either mode. From the
 pre-activation on, a perceptron thus adds one node to the tape instead
 of four, and keeps two pair-sized arrays (hidden activation and output)
-instead of up to eight.
+instead of up to eight. The decoder's networks skip the tape altogether:
+they run on plain arrays inside its one-node transition
+(`decoder.step_flat`).
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ thread of a 2-vCPU Xeon VM) and gives the same bits, +0.0 at z = -0.0
 included. The perceptron and batch-norm nodes are fused for the same
 reason: each elementwise pass over a pair-sized array, and each fresh
 buffer it allocates, costs about as much as a small GEMM.
+
+The decoder's transition (`decoder.step_flat`) is a fused node built
+outside this module, on `_node`, `Tensor._accumulate` and the
+array-level perceptron `_perceptron` / `_perceptron_backward` that
+`mlp2` also runs. Every activation goes through `_activation`, which
+looks its kernel up by name at each call, so every ReLU in the program
+runs the one kernel `_relu`.
 """
 
 from __future__ import annotations
@@ -278,20 +285,6 @@ def tsum(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def concat(tensors) -> Tensor:
-    """Column-wise concatenation of 2-D tensors."""
-    tensors = [_wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=1)
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
-
-    return _node(out_data, tuple(tensors), backward)
-
-
 def cols(a, lo: int, hi: int) -> Tensor:
     """Column slice [:, lo:hi] of a 2-D tensor."""
     a = _wrap(a)
@@ -394,7 +387,35 @@ def _elu_slope(y: np.ndarray) -> np.ndarray:
     return slope
 
 
-_ACTIVATIONS = {"elu": (_elu, _elu_slope), "relu": (_relu, _relu_slope)}
+def _activation(name: str) -> tuple:
+    """(kernel, slope) of an activation. The kernels are looked up by name
+    at each call, so every use goes through the one module-level kernel."""
+    if name == "relu":
+        return _relu, _relu_slope
+    if name == "elu":
+        return _elu, _elu_slope
+    raise ParameterError(f"unknown activation '{name}'")
+
+
+def _perceptron(pre: np.ndarray, w2: np.ndarray, b2: np.ndarray, act) -> tuple:
+    """(hidden, out) = (act(pre), act(hidden @ w2 + b2)) on plain arrays."""
+    hidden = act(pre)
+    out = hidden @ w2 + b2
+    act(out, out=out)
+    return hidden, out
+
+
+def _perceptron_backward(g, hidden, out, w2: Tensor, b2: Tensor, slope) -> np.ndarray:
+    """Backward of `_perceptron` from its output gradient `g`, which it
+    scales in place: adds into b2 and w2 and returns the gradient at `pre`."""
+    g *= slope(out)
+    if b2.requires_grad:
+        b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+    if w2.requires_grad:
+        w2._accumulate(hidden.T @ g, owned=True)
+    dh = g @ w2.data.T
+    dh *= slope(hidden)
+    return dh
 
 
 def mlp2(pre, w2, b2, activation: str) -> Tensor:
@@ -406,23 +427,13 @@ def mlp2(pre, w2, b2, activation: str) -> Tensor:
     stays out of place: on 2880x64 rows it measured faster than an
     in-place broadcast add.
     """
-    if activation not in _ACTIVATIONS:
-        raise ParameterError(f"unknown activation '{activation}'")
-    act, slope = _ACTIVATIONS[activation]
+    act, slope = _activation(activation)
     pre, w2, b2 = _wrap(pre), _wrap(w2), _wrap(b2)
-    hidden = act(pre.data)
-    out_data = hidden @ w2.data + b2.data
-    act(out_data, out=out_data)
+    hidden, out_data = _perceptron(pre.data, w2.data, b2.data, act)
 
     def backward(g):
-        g *= slope(out_data)
-        if b2.requires_grad:
-            b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-        if w2.requires_grad:
-            w2._accumulate(hidden.T @ g, owned=True)
+        dh = _perceptron_backward(g, hidden, out_data, w2, b2, slope)
         if pre.requires_grad:
-            dh = g @ w2.data.T
-            dh *= slope(hidden)
             pre._accumulate(dh, owned=True)
 
     return _node(out_data, (pre, w2, b2), backward)

@@ -37,28 +37,25 @@ def directional_difference(f, param_data: np.ndarray, direction: np.ndarray,
 class ReluPatterns:
     """Sign pattern of every ReLU input, as evaluated.
 
-    A ReLU perceptron is one `hbrca.tensor.mlp2` node with two ReLUs: one
-    on its `pre` argument and one on layer 2's pre-activation. Both sign
-    patterns are recorded, the second read from the output (relu(z) > 0
-    exactly where z > 0). Installed with pytest's monkeypatch, so the
-    program under test has no hook for it. `take()` returns the patterns
-    recorded since the last call, in evaluation order.
+    Every ReLU in the program, in `hbrca.tensor.mlp2` and in the decoder's
+    fused step alike, runs the one kernel `hbrca.tensor._relu`, looked up
+    by name at each call. The wrapper records `z > 0` before the kernel
+    runs (it may overwrite z in place). Installed with pytest's
+    monkeypatch, so the program under test has no hook for it. `take()`
+    returns the patterns recorded since the last call, in evaluation order.
     """
 
     def __init__(self, monkeypatch):
         from hbrca import tensor
 
         self._patterns = []
-        mlp2 = tensor.mlp2
+        relu = tensor._relu
 
-        def recording_mlp2(pre, w2, b2, activation):
-            out = mlp2(pre, w2, b2, activation)
-            if activation == "relu":
-                self._patterns.append(pre.data > 0.0)
-                self._patterns.append(out.data > 0.0)
-            return out
+        def recording_relu(z, out=None):
+            self._patterns.append(z > 0.0)
+            return relu(z, out=out)
 
-        monkeypatch.setattr(tensor, "mlp2", recording_mlp2)
+        monkeypatch.setattr(tensor, "_relu", recording_relu)
 
     def take(self) -> list:
         patterns, self._patterns = self._patterns, []

@@ -440,3 +440,29 @@ def test_bad_checkpoint_gives_exit_3(trained, tmp_path, command, fault, message,
         "schema_version": 1, command: {"checkpoint": str(bad), "corpus": corpus}})
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "rca"])
+@pytest.mark.parametrize("key,value", [("t_window", 10), ("n_dims", 2)],
+                         ids=["window", "n_dims"])
+def test_corpus_checkpoint_shape_mismatch_gives_exit_3(trained, tmp_path, command, key,
+                                                      value, capsys):
+    """A corpus whose windows differ in length or dimension from the
+    checkpoint's is a data error, even with --allow-hash-mismatch."""
+    _, checkpoint = trained
+    doc = generate_config()
+    if key == "t_window":
+        doc["generate"]["window"] = value
+    else:
+        scm = doc["generate"]["scm"]
+        scm["n_dims"] = value
+        scm["init_positions"] = [row[:value] for row in scm["init_positions"]]
+    cfg = write_config(tmp_path / "gen.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+    path = write_config(tmp_path / "c.json", {"schema_version": 1, command: {
+        "checkpoint": checkpoint, "corpus": str(tmp_path / "gen" / "corpus.txt")}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o"),
+                 "--allow-hash-mismatch"]) == 3
+    err = capsys.readouterr().err
+    expected = {"t_window": 5, "n_dims": 3}[key]
+    assert f"{key} {value}" in err and f"{key} {expected}" in err

@@ -1,7 +1,7 @@
 """Fused tape nodes against the unfused composition, bit for bit.
 
-`tensor.mlp2`, `tensor.batchnorm_rows` and `tensor.batchnorm_eval` each
-replace a chain of elementwise ops. The references below are that chain
+`tensor.mlp2`, `tensor.batchnorm_rows`, `tensor.batchnorm_eval` and the
+decoder's `step_flat` each replace a chain of ops. The references below are that chain
 written in plain numpy, with the two-branch np.where activations, in the
 order the unfused ops evaluated it. Outputs and every gradient must agree
 exactly, including at inputs of exactly +0.0 and -0.0.
@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from hbrca import tensor as T
+from hbrca.decoder import DecoderParams, step_flat
 from hbrca.errors import ParameterError
+from hbrca.graph import pair_index
 from hbrca.tensor import Tensor
 
 ACTIVATIONS = ("relu", "elu")
@@ -98,7 +100,7 @@ def test_signed_zero_inputs_are_present(rng):
 @pytest.mark.parametrize("name", ACTIVATIONS)
 def test_activation_kernels_match_where_form_bitwise(name):
     z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 40.0, -800.0] * 7)
-    act, slope = T._ACTIVATIONS[name]
+    act, slope = T._activation(name)
     ref_out, ref_slope = _act_ref(name, z)
     out = act(z)
     assert _same_bits(out, ref_out)
@@ -199,3 +201,148 @@ def test_mlp2_rejects_unknown_activation(rng):
     pre, w2, b2 = _inputs(rng)
     with pytest.raises(ParameterError):
         T.mlp2(Tensor(pre), Tensor(w2), Tensor(b2), "tanh")
+
+
+# -- the decoder transition -------------------------------------------------------
+
+MESSAGE_NETS = ("msg_hb", "msg_sep")
+HEADS = ("msg_hb_head", "msg_sep_head")
+
+
+def _net_ref(p, name, x):
+    """Layer 1 and the ReLU perceptron as the unfused ops computed them:
+    (hidden, out, slope 1, slope 2, the two ReLU inputs)."""
+    z1 = x @ p[f"{name}.w1"] + p[f"{name}.b1"]
+    hidden, slope1 = _act_ref("relu", z1)
+    z2 = hidden @ p[f"{name}.w2"] + p[f"{name}.b2"]
+    out, slope2 = _act_ref("relu", z2)
+    return hidden, out, slope1, slope2, (z1, z2)
+
+
+def _net_backward_ref(p, name, x, fwd, g, grads):
+    hidden, out, slope1, slope2, _ = fwd
+    dz = g * slope2
+    grads[f"{name}.b2"] = dz.sum(axis=0, keepdims=True)
+    grads[f"{name}.w2"] = hidden.T @ dz
+    dh = (dz @ p[f"{name}.w2"].T) * slope1
+    grads[f"{name}.b1"] = dh.sum(axis=0, keepdims=True)
+    grads[f"{name}.w1"] = x.T @ dh
+    return dh @ p[f"{name}.w1"].T
+
+
+def step_ref(p, pos, a, bias, sigma, group):
+    """The unfused transition: repeat, transpose gather, concatenation,
+    two message networks weighted by their edge columns and summed per
+    receiver, the linear heads, the node network, the output head and the
+    residual. Returns (out, cache for `step_backward_ref`)."""
+    recv = np.repeat(pos, group, axis=0)
+    pair = np.concatenate([recv[sigma], recv], axis=1)
+    fwd = {name: _net_ref(p, name, pair) for name in MESSAGE_NETS}
+    summed = {name: (fwd[name][1] * a[name]).reshape(-1, group, fwd[name][1].shape[1]).sum(axis=1)
+              for name in MESSAGE_NETS}
+    agg = summed["msg_hb"] @ p["msg_hb_head.w"]
+    agg = agg + summed["msg_sep"] @ p["msg_sep_head.w"]
+    agg = agg + bias
+    fwd["node"] = _net_ref(p, "node", agg)
+    out = pos + (fwd["node"][1] @ p["out_head.w"] + p["out_head.b"])
+    return out, (pos, pair, fwd, summed, agg)
+
+
+def step_backward_ref(p, cache, g, sigma, group, a):
+    """Gradients of one transition under upstream g, in the unfused tape's
+    order; the positions get the residual g and then the pair-path term."""
+    pos, pair, fwd, summed, agg = cache
+    grads = {"residual": g, "out_head.b": g.sum(axis=0, keepdims=True),
+             "out_head.w": fwd["node"][1].T @ g}
+    g_agg = _net_backward_ref(p, "node", agg, fwd["node"], g @ p["out_head.w"].T, grads)
+    grads["bias"] = g_agg
+    d_pair = []
+    for name, head in zip(MESSAGE_NETS, HEADS):
+        grads[f"{head}.w"] = summed[name].T @ g_agg
+        g_rows = np.repeat(g_agg @ p[f"{head}.w"].T, group, axis=0)
+        grads[name] = (g_rows * fwd[name][1]).sum(axis=1, keepdims=True)
+        d_pair.append(_net_backward_ref(p, name, pair, fwd[name], g_rows * a[name], grads))
+    g_pair = d_pair[0] + d_pair[1]
+    d = pos.shape[1]
+    grads["pair_path"] = (g_pair[:, d:] + g_pair[:, :d][sigma]).reshape(-1, group, d).sum(axis=1)
+    return grads
+
+
+def _decoder_case(rng, b=2, n=4, d=3):
+    dec = DecoderParams.create(rng, d, hidden=5, msg_dim=4)
+    # the message heads' biases enter the step only through `bias`
+    params = {k.removeprefix("dec."): t for k, t in dec.parameters().items()
+              if k.removeprefix("dec.") not in {f"{head}.b" for head in HEADS}}
+    # exact zeros at three ReLU inputs: a zero weight column and a zero bias.
+    # x @ w + b then gives +0.0 whether b is +0.0 or -0.0 (the product's
+    # zero is +0.0), so -0.0 cannot reach a ReLU here; the kernel test
+    # above covers it.
+    params["msg_hb.w1"].data[:, 0] = 0.0
+    params["msg_hb.b1"].data[0, 0] = -0.0
+    params["msg_sep.w2"].data[:, 1] = 0.0
+    params["msg_sep.b2"].data[0, 1] = 0.0
+    params["node.w1"].data[:, 2] = 0.0
+    params["node.b1"].data[0, 2] = -0.0
+    idx = pair_index(n, b)
+    rows = b * n * (n - 1)
+    edges = rng.dirichlet([1.0, 1.0, 1.0], size=rows)
+    edges[::3] = np.eye(3)[rng.integers(0, 3, size=edges[::3].shape[0])]
+    a = {"msg_hb": edges[:, 1:2], "msg_sep": edges[:, 2:3]}
+    bias = _with_signed_zeros(rng.normal(size=(b * n, 4)), rng)
+    return dec, params, idx, a, bias
+
+
+def test_decoder_step_rollout_matches_unfused_chain_bitwise(rng):
+    """A k=2 schedule over T=4: x0 -> mu1 -> mu2, then a reset to the
+    ground truth x2 -> mu3. mu1 takes three gradient contributions (the
+    loss, step 2's residual, step 2's pair path), and the tape runs the
+    steps in the order 2, 1, 3."""
+    dec, params, idx, a, bias = _decoder_case(rng)
+    group = idx.n_nodes - 1
+    x0, x2 = (rng.normal(size=(bias.shape[0], 3)) for _ in range(2))
+    gs = [rng.normal(size=x0.shape) for _ in range(3)]
+    p = {k: t.data.copy() for k, t in params.items()}
+
+    mu1, c1 = step_ref(p, x0, a, bias, idx.sigma, group)
+    mu2, c2 = step_ref(p, mu1, a, bias, idx.sigma, group)
+    mu3, c3 = step_ref(p, x2, a, bias, idx.sigma, group)
+    for _, _, fwd, _, _ in (c1, c2, c3):
+        zero_columns = (fwd["msg_hb"][4][0][:, 0], fwd["msg_sep"][4][1][:, 1],
+                        fwd["node"][4][0][:, 2])
+        assert all(np.all(z == 0.0) for z in zero_columns)
+    r2 = step_backward_ref(p, c2, gs[1], idx.sigma, group, a)
+    g_mu1 = gs[0] + r2["residual"]
+    g_mu1 = g_mu1 + r2["pair_path"]
+    r1 = step_backward_ref(p, c1, g_mu1, idx.sigma, group, a)
+    r3 = step_backward_ref(p, c3, gs[2], idx.sigma, group, a)
+    expect = {"x0": r1["residual"] + r1["pair_path"]}
+    for name in [*params, "msg_hb", "msg_sep", "bias"]:
+        expect[name] = (r2[name] + r1[name]) + r3[name]
+
+    x0_t = Tensor(x0.copy(), requires_grad=True)
+    terms = tuple(Tensor(v.copy(), requires_grad=True) for v in (a["msg_hb"], a["msg_sep"], bias))
+    out1 = step_flat(dec, x0_t, terms, idx)
+    out2 = step_flat(dec, out1, terms, idx)
+    out3 = step_flat(dec, Tensor(x2.copy()), terms, idx)
+    losses = [T.tsum(T.mul(o, g)) for o, g in zip((out1, out2, out3), gs)]
+    T.add(T.add(losses[0], losses[1]), losses[2]).backward()
+
+    for got, ref in zip((out1, out2, out3), (mu1, mu2, mu3)):
+        assert _same_bits(got.data, ref)
+    got = {"x0": x0_t.grad, "msg_hb": terms[0].grad, "msg_sep": terms[1].grad,
+           "bias": terms[2].grad, **{k: t.grad for k, t in params.items()}}
+    assert len(params) == 16  # all but the two message-head biases
+    for name, ref in expect.items():
+        assert _same_bits(got[name], ref), name
+
+
+def test_decoder_step_no_grad_gives_the_same_bits_and_records_nothing(rng):
+    dec, params, idx, a, bias = _decoder_case(rng)
+    pos = Tensor(rng.normal(size=(bias.shape[0], 3)), requires_grad=True)
+    terms = tuple(Tensor(v, requires_grad=True) for v in (a["msg_hb"], a["msg_sep"], bias))
+    recorded = step_flat(dec, pos, terms, idx)
+    with T.no_grad():
+        bare = step_flat(dec, pos, terms, idx)
+    assert recorded._parents and recorded._backward is not None
+    assert bare._parents == () and bare._backward is None and not bare.requires_grad
+    assert _same_bits(bare.data, recorded.data)

@@ -108,7 +108,7 @@ def test_pointwise_ops_match_finite_differences(op, dom, rng):
 
 
 def test_composite_graph_matches_finite_differences(rng):
-    """Gather, scatter, concat, softmax and reductions composed together."""
+    """Gather, scatter, row slices, softmax and reductions composed together."""
     n, feat = 4, 3
     w0 = rng.normal(size=(2 * feat, 5))
     x0 = rng.normal(size=(n, feat))
@@ -119,8 +119,9 @@ def test_composite_graph_matches_finite_differences(rng):
         w = Tensor(w_arr, requires_grad=True)
         recv = T.repeat_rows(x, n - 1)
         send = T.permute_rows(recv, sigma, sigma)
-        pair = T.concat([send, recv])
-        h = T.mlp2(T.matmul(pair, w), np.eye(5), np.zeros((1, 5)), "elu")
+        ws, wr = T.rows(w, 0, feat), T.rows(w, feat, 2 * feat)
+        pre = T.add(T.matmul(send, ws), T.matmul(recv, wr))
+        h = T.mlp2(pre, np.eye(5), np.zeros((1, 5)), "elu")
         y = T.softmax_rows(h)
         agg = T.segment_sum_rows(T.log(T.add(y, 0.1)), n - 1)
         loss = T.mul(T.tsum(T.square(agg)), 1.0 / agg.size)
