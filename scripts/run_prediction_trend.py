@@ -28,8 +28,10 @@ def main():
               f"mse={err_mse:.5f} mae={err_mae:.5f}", flush=True)
         started[0] = time.time()
 
-    rows = prediction_trend(epochs, log=log)
-    print(sweep_csv(rows, os.path.join(out_dir, "prediction_trend.csv")))
+    content = sweep_csv(prediction_trend(epochs, log=log))
+    with open(os.path.join(out_dir, "prediction_trend.csv"), "w", encoding="utf-8") as fh:
+        fh.write(content)
+    print(content)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ with the three distributional ground-truth oracles across seeds.
 Usage: python scripts/run_rca_recovery.py [out_dir] [n_seeds]
 """
 
+import os
 import sys
 import time
 
@@ -19,6 +20,7 @@ from hbrca.rca import accuracy_csv, aggregate_accuracy
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
     n_seeds = int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    os.makedirs(out_dir, exist_ok=True)
     per_seed = []
     for seed in range(n_seeds):
         t0 = time.time()
@@ -30,8 +32,9 @@ def main():
             f"model-top4 {order[:4].tolist()}",
             flush=True,
         )
-    rows = aggregate_accuracy(per_seed)
-    content = accuracy_csv(rows, f"{out_dir}/rca_recovery_accuracy.csv")
+    content = accuracy_csv(aggregate_accuracy(per_seed))
+    with open(os.path.join(out_dir, "rca_recovery_accuracy.csv"), "w", encoding="utf-8") as fh:
+        fh.write(content)
     print(content)
 
 

@@ -98,12 +98,17 @@ def write_echo(out_dir: str, command: str, section: dict, extra: dict) -> None:
 
 
 def _load_corpus(path: str, do_normalize: bool):
-    if not os.path.exists(path):
-        raise DataError(f"corpus file not found: {path}")
     corpus = corpus_mod.load(path)
     if do_normalize:
         corpus = corpus_mod.normalize(corpus)
     return corpus
+
+
+def _write_tables(out_dir: str, tables: dict) -> None:
+    """Write each table's text to the file of its name in `out_dir`."""
+    for name, content in tables.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(content)
 
 
 def _check_corpus(checkpoint: Checkpoint, corpus, digest: str, allow_mismatch: bool) -> None:
@@ -197,17 +202,14 @@ def cmd_evaluate(section: dict, out_dir: str) -> dict:
             f"truth {truth.positions.shape} and predicted "
             f"{pred.positions.shape} extents differ"
         )
-    with open(os.path.join(out_dir, "displacement.csv"), "w", encoding="utf-8") as fh:
-        fh.write(metrics_mod.displacement_csv(truth, pred))
-    with open(os.path.join(out_dir, "rmsf_time.csv"), "w", encoding="utf-8") as fh:
-        fh.write(metrics_mod.rmsf_time_csv(truth, pred))
-    with open(os.path.join(out_dir, "rmsf_atom.csv"), "w", encoding="utf-8") as fh:
-        fh.write(metrics_mod.rmsf_atom_csv(truth, pred))
     err_mse = metrics_mod.mse(pred.positions[:, :, 1:, :], truth.positions[:, :, 1:, :])
     err_mae = metrics_mod.mae(pred.positions[:, :, 1:, :], truth.positions[:, :, 1:, :])
-    with open(os.path.join(out_dir, "errors.csv"), "w", encoding="utf-8") as fh:
-        fh.write("mse,mae\n")
-        fh.write(f"{corpus_mod.fmt_float(err_mse)},{corpus_mod.fmt_float(err_mae)}\n")
+    _write_tables(out_dir, {
+        "displacement.csv": metrics_mod.displacement_csv(truth, pred),
+        "rmsf_time.csv": metrics_mod.rmsf_time_csv(truth, pred),
+        "rmsf_atom.csv": metrics_mod.rmsf_atom_csv(truth, pred),
+        "errors.csv": "mse,mae\n" + corpus_mod.format_rows("%.17g,%.17g\n", [err_mse], [err_mae]),
+    })
     print(f"mse {err_mse:.6g} mae {err_mae:.6g}")
     return {"corpus_hash": corpus_mod.corpus_hash(truth)}
 
@@ -227,13 +229,15 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
         )
     model = checkpoint.build_model()
     report, posterior = run_rca(model, corpus, k=top_k)
-    export_posterior_csv(posterior, os.path.join(out_dir, "posterior.csv"))
-    report.to_csv(os.path.join(out_dir, "rca_report.csv"))
     rows = {
         metric: (None if value is None else (value, 0.0))
         for metric, value in report.accuracy.items()
     }
-    accuracy_csv(rows, os.path.join(out_dir, "rca_accuracy.csv"))
+    _write_tables(out_dir, {
+        "posterior.csv": export_posterior_csv(posterior),
+        "rca_report.csv": report.to_csv(),
+        "rca_accuracy.csv": accuracy_csv(rows),
+    })
     if report.no_change_detected:
         print("no mechanism change detected")
     top_names = [corpus.atom_names[i] for i in report.top_k]

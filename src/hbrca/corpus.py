@@ -41,16 +41,13 @@ _META_OPTIONAL = ("regimes", "root_cause_nodes", "boundary_step", "roles",
 _CHUNK_ROWS = 4096
 
 
-def fmt_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def format_rows(row: str, *columns: np.ndarray) -> str:
     """`row % values` for every row of `columns`, joined.
 
     Each column is a 1-D array with one value per row, or a 2-D array with
     one row per row. `row` holds one conversion per value and ends in a
-    newline; "%.17g" writes a float as `fmt_float` does.
+    newline. Every table the program writes is built here, with "%.17g"
+    for each float, so that every written float reads back exactly.
     """
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n_rows = len(columns[0])
@@ -384,8 +381,14 @@ def loads(content: str) -> TrajectoryCorpus:
 
 
 def load(path) -> TrajectoryCorpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """`loads` of a file; a file that cannot be read or is not UTF-8 is a
+    DataError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
+    return loads(content)
 
 
 # -- splits ------------------------------------------------------------------

@@ -18,13 +18,12 @@ rounding in the last bits.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import fmt_float
+from .corpus import format_rows
 from .errors import DimensionError, ParameterError
 from .graph import pair_index
 from .layers import Linear, Mlp2, gumbel_softmax
@@ -78,14 +77,13 @@ class EncoderParams:
         rng: np.random.Generator,
         n_in: int,
         hidden: int = 128,
-        n_edge_types: int = N_EDGE_TYPES,
     ) -> "EncoderParams":
         return cls(
             embed=Mlp2.create(rng, n_in, hidden, hidden, "elu", batch_norm=True),
             edge1=Mlp2.create(rng, 2 * hidden, hidden, hidden, "elu", batch_norm=True),
             node1=Mlp2.create(rng, hidden, hidden, hidden, "elu", batch_norm=True),
             edge2=Mlp2.create(rng, 2 * hidden, hidden, hidden, "elu", batch_norm=True),
-            out=Linear.create(rng, hidden, n_edge_types),
+            out=Linear.create(rng, hidden, N_EDGE_TYPES),
         )
 
     def parameters(self, prefix: str = "enc") -> dict:
@@ -160,19 +158,9 @@ def sample_edges(
     return idx.to_matrix(flat)
 
 
-def export_posterior_csv(posterior: EdgePosterior, path=None) -> str:
-    """Write `i,j,p_none,p_hb,p_sep` rows sorted by (i, j)."""
-    out = io.StringIO()
-    out.write("i,j," + ",".join(EDGE_COLUMNS) + "\n")
-    n = posterior.n_nodes
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vals = ",".join(fmt_float(v) for v in posterior.probs[i, j])
-            out.write(f"{i},{j},{vals}\n")
-    content = out.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    return content
+def export_posterior_csv(posterior: EdgePosterior) -> str:
+    """`i,j,p_none,p_hb,p_sep` rows sorted by (sender i, receiver j)."""
+    i, j = np.nonzero(~np.eye(posterior.n_nodes, dtype=bool))
+    return "i,j," + ",".join(EDGE_COLUMNS) + "\n" + format_rows(
+        "%d,%d,%.17g,%.17g,%.17g\n", i, j, posterior.probs[i, j]
+    )

@@ -10,6 +10,8 @@ removes the binding of the change-set nodes at the trajectory midpoint.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .corpus import SplitSpec, TrajectoryCorpus, normalize, split_windows, window_corpus
@@ -165,17 +167,13 @@ def prediction_trend(epochs: int, log=None) -> list:
 
 
 def degenerate_spec(seed: int) -> ScmSpec:
-    """No intervention anywhere: both halves share every mechanism."""
-    return rca_recovery_spec(seed, change_set=())
+    """No intervention anywhere: both halves share every mechanism. The
+    midpoint boundary only labels the windows, so that the RCA pipeline
+    sees both regimes."""
+    return replace(rca_recovery_spec(seed, change_set=()), boundary_step=RECOVERY_T_TOTAL // 2)
 
 
 def build_degenerate_corpus(seed: int) -> TrajectoryCorpus:
-    """Statistically identical persist/separated halves.
-
-    Same scaffold-and-springs system as the recovery corpus but without
-    a change set; windows are labeled by an artificial midpoint boundary
-    so the RCA pipeline sees both regimes.
-    """
-    long_corpus, _ = simulate(degenerate_spec(seed), RECOVERY_T_TOTAL, seed)
-    long_corpus.labels.boundary_step = RECOVERY_T_TOTAL // 2
-    return normalize(window_corpus(long_corpus, RECOVERY_T_WINDOW))
+    """Statistically identical persist/separated halves: the recovery
+    corpus's scaffold and springs without a change set."""
+    return build_rca_corpus(degenerate_spec(seed), seed)

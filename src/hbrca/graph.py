@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DataError
+
 
 def _pair_position(i: int, j: int, n: int) -> int:
     """Index of ordered pair (i -> j) in the receiver-major list."""
@@ -31,7 +33,7 @@ def pair_index(n_nodes: int, batch: int = 1):
 class PairIndex:
     def __init__(self, n_nodes: int, batch: int = 1):
         if n_nodes < 2:
-            raise ValueError("need at least two nodes for pairwise messages")
+            raise DataError(f"pairwise messages need at least two atoms, got {n_nodes}")
         self.n_nodes = n_nodes
         self.batch = batch
         self.n_pairs = n_nodes * (n_nodes - 1)

@@ -7,11 +7,9 @@ since each uses its own reference (first step or per-atom time mean).
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
-from .corpus import TrajectoryCorpus, fmt_float, format_rows
+from .corpus import TrajectoryCorpus, format_rows
 from .errors import ParameterError
 
 
@@ -74,16 +72,11 @@ def mae(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - truth)))
 
 
-def sweep_csv(rows: list, path=None) -> str:
-    out = io.StringIO()
-    out.write("T,samples,mse,mae\n")
-    for t, n, m, a in rows:
-        out.write(f"{t},{n},{fmt_float(m)},{fmt_float(a)}\n")
-    content = out.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    return content
+def sweep_csv(rows: list) -> str:
+    """`T,samples,mse,mae` rows, one per (T, windows, mse, mae) tuple."""
+    return "T,samples,mse,mae\n" + format_rows(
+        "%d,%d,%.17g,%.17g\n", np.array(rows, dtype=object)
+    )
 
 
 # -- plot-ready exports --------------------------------------------------------

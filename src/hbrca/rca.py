@@ -29,12 +29,11 @@ distance).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import PERSIST, SEPARATED, TrajectoryCorpus, fmt_float
+from .corpus import PERSIST, SEPARATED, TrajectoryCorpus, format_rows
 from .encoder import EdgePosterior
 from .errors import DataError, ParameterError
 from .model import ModelParams, encode_windows, mean_posterior
@@ -255,34 +254,22 @@ class RcaReport:
     def no_change_detected(self) -> bool:
         return bool(np.max(self.scores) < NO_CHANGE_THRESHOLD)
 
-    def to_csv(self, path=None) -> str:
-        out = io.StringIO()
-        out.write("rank,atom,score\n")
-        for rank, node in enumerate(self.order, start=1):
-            out.write(f"{rank},{self.atom_names[node]},{fmt_float(self.scores[node])}\n")
-        content = out.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
-        return content
+    def to_csv(self) -> str:
+        """`rank,atom,score` rows, highest score first."""
+        order = np.array(self.order)
+        return "rank,atom,score\n" + format_rows(
+            "%d,%s,%.17g\n", np.arange(1, len(order) + 1),
+            np.asarray(self.atom_names, dtype=object)[order], np.asarray(self.scores)[order],
+        )
 
 
-def accuracy_csv(rows: dict, path=None) -> str:
+def accuracy_csv(rows: dict) -> str:
     """`oracle_metric,mean,std` summary; undefined entries print 'na'."""
-    out = io.StringIO()
-    out.write("oracle_metric,mean,std\n")
-    for metric in ORACLE_METRICS:
-        entry = rows.get(metric)
-        if entry is None:
-            out.write(f"{metric},na,na\n")
-        else:
-            mean, std = entry
-            out.write(f"{metric},{fmt_float(mean)},{fmt_float(std)}\n")
-    content = out.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    return content
+    return "oracle_metric,mean,std\n" + "".join(
+        f"{metric},na,na\n" if rows.get(metric) is None
+        else format_rows("%s,%.17g,%.17g\n", np.array([(metric, *rows[metric])], dtype=object))
+        for metric in ORACLE_METRICS
+    )
 
 
 def aggregate_accuracy(per_seed: list) -> dict:

@@ -476,29 +476,14 @@ def batchnorm_rows(x, gamma, beta, eps: float):
 
 
 def batchnorm_eval(x, gamma, beta, mean: np.ndarray, inv: np.ndarray) -> Tensor:
-    """(x - mean) * inv * gamma + beta with fixed statistics, as one node
-    evaluated left to right in place. `xhat` is kept only when recording."""
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    xhat = x.data - mean
+    """(x - mean) * inv * gamma + beta with fixed statistics, evaluated left
+    to right in place. Not recorded: eval-mode batch norm runs only under
+    `no_grad` (`model.encode_windows`, `encoder.encode`)."""
+    xhat = _wrap(x).data - mean
     xhat *= inv
-    if not _records((x, gamma, beta)):
-        xhat *= gamma.data
-        xhat += beta.data
-        return Tensor(xhat)
-    out_data = xhat * gamma.data
-    out_data += beta.data
-
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=0, keepdims=True), owned=True)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-        if x.requires_grad:
-            g *= gamma.data
-            g *= inv
-            x._accumulate(g, owned=True)
-
-    return _node(out_data, (x, gamma, beta), backward)
+    xhat *= _wrap(gamma).data
+    xhat += _wrap(beta).data
+    return Tensor(xhat)
 
 
 # -- softmax --------------------------------------------------------------

@@ -13,14 +13,13 @@ error over predicted entries.
 from __future__ import annotations
 
 import base64
-import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import SplitSpec, TrajectoryCorpus, _split_indices, corpus_hash, fmt_float
+from .corpus import SplitSpec, TrajectoryCorpus, _split_indices, corpus_hash, format_rows
 from .decoder import rollout_train
 from .encoder import EdgePosterior, encode_logits
 from .errors import ConfigError, DataError, NumericalError, ParameterError, check_number
@@ -145,7 +144,6 @@ def composite_loss(
     config: TrainConfig,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
-    training: bool = True,
 ):
     """Differentiable total loss for one window batch.
 
@@ -154,7 +152,7 @@ def composite_loss(
     """
     b, n, t, d = windows.shape
     idx = pair_index(n, b)
-    logits = encode_logits(model.encoder, windows, training=training)
+    logits = encode_logits(model.encoder, windows, training=True)
     q = T.softmax_rows(logits)
     log_prior = np.log(np.asarray(config.prior))
     kl = T.tsum(T.mul(q, T.sub(T.log(q), log_prior)))
@@ -293,15 +291,12 @@ class Checkpoint:
 
 
 def write_metrics_csv(history: list, path) -> None:
-    out = io.StringIO()
-    out.write("epoch,train_loss,val_mse,lr\n")
-    for row in history:
-        out.write(
-            f"{row['epoch']},{fmt_float(row['train_loss'])},"
-            f"{fmt_float(row['val_mse'])},{fmt_float(row['lr'])}\n"
-        )
+    """Write `epoch,train_loss,val_mse,lr`, one row per epoch of `history`."""
+    keys = ("epoch", "train_loss", "val_mse", "lr")
+    values = np.array([[row[k] for k in keys] for row in history], dtype=object)
+    content = ",".join(keys) + "\n" + format_rows("%d,%.17g,%.17g,%.17g\n", values)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(out.getvalue())
+        fh.write(content)
 
 
 def train(
@@ -321,7 +316,10 @@ def train(
     digest = corpus_hash(corpus)
     train_idx, val_idx, _ = _split_indices(corpus.n_samples, split, digest)
     if len(train_idx) == 0:
-        raise ParameterError("empty training split")
+        raise ConfigError(
+            f"'split' leaves no training windows: train fraction {split.train} "
+            f"of {corpus.n_samples} windows"
+        )
     if len(val_idx) == 0:
         val_idx = train_idx
     windows = corpus.positions

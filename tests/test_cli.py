@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hbrca.cli import main
-from hbrca.corpus import load
+from hbrca.corpus import load, normalize
+from hbrca.rca import run_rca
+from hbrca.training import Checkpoint
 
 
 @pytest.fixture
@@ -139,6 +141,40 @@ def test_pipeline_is_byte_deterministic(workdir):
             assert fa == fb, f"{a}/{name} differs"
 
 
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_every_table_float_reads_back_exactly(workdir):
+    """Each float the pipeline writes parses back to the value computed."""
+    gen, train_dir, pred, ev, rca = run_pipeline(workdir)
+    checkpoint = Checkpoint.load(train_dir / "checkpoint.json")
+    keys = ("epoch", "train_loss", "val_mse", "lr")
+    assert [[float(v) for v in row] for row in _csv_rows(train_dir / "metrics.csv")] == [
+        [row[k] for k in keys] for row in checkpoint.history
+    ]
+
+    truth = load(gen / "corpus.txt").positions[:, :, 1:]
+    predicted = load(pred / "predicted.txt").positions[:, :, 1:]
+    (mse, mae), = _csv_rows(ev / "errors.csv")
+    assert float(mse) == float(np.mean((predicted - truth) ** 2))
+    assert float(mae) == float(np.mean(np.abs(predicted - truth)))
+
+    corpus = normalize(load(gen / "corpus.txt"))
+    report, posterior = run_rca(checkpoint.build_model(), corpus, k=2)
+    n = corpus.n_atoms
+    rows = _csv_rows(rca / "posterior.csv")
+    assert [(int(i), int(j)) for i, j, *_ in rows] == [
+        (i, j) for i in range(n) for j in range(n) if i != j
+    ]
+    for i, j, *probs in rows:
+        assert [float(p) for p in probs] == posterior.probs[int(i), int(j)].tolist()
+    rows = _csv_rows(rca / "rca_report.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, n + 1))
+    assert [r[1] for r in rows] == [corpus.atom_names[i] for i in report.order]
+    assert [float(r[2]) for r in rows] == report.scores[report.order].tolist()
+
+
 def test_generate_with_zero_noise_two_body_matches_oracle(workdir):
     """CLI-level check of the closed-form two-body contraction."""
     cfg = {
@@ -226,6 +262,22 @@ def test_corrupt_corpus_gives_exit_3(workdir):
         "train": {"corpus": str(bad)},
     })
     assert main(["train", "--config", path, "--out", str(workdir / "o")]) == 3
+
+
+@pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+def test_unreadable_corpus_file_gives_exit_3(workdir, fault, capsys):
+    if fault == "directory":
+        bad = workdir / "corpus_dir"
+        bad.mkdir()
+        section = {"evaluate": {"truth": str(bad), "predicted": str(bad)}}
+    else:
+        bad = workdir / "latin1.txt"
+        bad.write_bytes(b"{\"schema\": 1, \"atom_names\": [\"\xe9\"]}\n")
+        section = {"train": {"corpus": str(bad)}}
+    path = write_config(workdir / "c.json", dict(section, schema_version=1))
+    command = next(iter(section))
+    assert main([command, "--config", path, "--out", str(workdir / "o")]) == 3
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_hash_mismatch_refused_unless_flagged(workdir):
@@ -466,3 +518,32 @@ def test_corpus_checkpoint_shape_mismatch_gives_exit_3(trained, tmp_path, comman
     err = capsys.readouterr().err
     expected = {"t_window": 5, "n_dims": 3}[key]
     assert f"{key} {value}" in err and f"{key} {expected}" in err
+
+
+@pytest.mark.parametrize("command,fault,exit_code,words", [
+    ("train", "one-atom", 3, ["two atoms, got 1"]),
+    ("predict", "one-atom", 3, ["two atoms, got 1"]),
+    ("rca", "one-atom", 3, ["two atoms, got 1"]),
+    ("train", "empty-split", 2, ["'split'", "train fraction 0.0", "of 40 windows"]),
+], ids=["train-one-atom", "predict-one-atom", "rca-one-atom", "train-empty-split"])
+def test_corpus_the_model_cannot_use_gives_documented_exit(trained, tmp_path, command, fault,
+                                                          exit_code, words, capsys):
+    """A one-atom corpus has no atom pairs (data error); a split that leaves
+    no training windows is a config error. Each message names the fault."""
+    corpus, checkpoint = trained
+    section = {"corpus": corpus}
+    if fault == "one-atom":
+        doc = generate_config()
+        doc["generate"]["scm"] = {"n_nodes": 1, "n_dims": 3, "noise_std": 0.1}
+        cfg = write_config(tmp_path / "gen.json", doc)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+        section["corpus"] = str(tmp_path / "gen" / "corpus.txt")
+    else:
+        section["split"] = {"train": 0.0, "val": 0.5, "test": 0.5}
+    if command != "train":
+        section["checkpoint"] = checkpoint
+    path = write_config(tmp_path / "c.json", {"schema_version": 1, command: section})
+    flags = ["--allow-hash-mismatch"] if command != "train" else []
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")] + flags) == exit_code
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err

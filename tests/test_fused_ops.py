@@ -4,7 +4,8 @@
 decoder's `step_flat` each replace a chain of ops. The references below are that chain
 written in plain numpy, with the two-branch np.where activations, in the
 order the unfused ops evaluated it. Outputs and every gradient must agree
-exactly, including at inputs of exactly +0.0 and -0.0.
+exactly, including at inputs of exactly +0.0 and -0.0. `batchnorm_eval`
+runs only under `no_grad`, so only its output is checked.
 """
 
 import numpy as np
@@ -52,12 +53,8 @@ def bn_train_ref(x, gamma, beta, eps, g):
     return out, grads
 
 
-def bn_eval_ref(x, gamma, beta, mean, inv, g):
-    xhat = (x - mean) * inv
-    out = xhat * gamma + beta
-    grads = {"x": g * gamma * inv, "gamma": (g * xhat).sum(axis=0, keepdims=True),
-             "beta": g.sum(axis=0, keepdims=True)}
-    return out, grads
+def bn_eval_ref(x, gamma, beta, mean, inv):
+    return (x - mean) * inv * gamma + beta
 
 
 def _with_signed_zeros(a, rng):
@@ -161,25 +158,21 @@ def test_batchnorm_eval_matches_unfused_composition_bitwise(rng):
     beta = rng.normal(size=(1, 5))
     mean = rng.normal(size=(1, 5))
     inv = 1.0 / np.sqrt(rng.uniform(0.5, 2.0, size=(1, 5)) + 1e-5)
-    g = rng.normal(size=x.shape)
-    ref_out, ref_grads = bn_eval_ref(x, gamma, beta, mean, inv, g)
-    out, (g_x, g_gamma, g_beta) = _run(
-        lambda a, c, d: T.batchnorm_eval(a, c, d, mean, inv), (x, gamma, beta), g
-    )
-    assert _same_bits(out, ref_out)
-    assert _same_bits(g_x, ref_grads["x"])
-    assert _same_bits(g_gamma, ref_grads["gamma"])
-    assert _same_bits(g_beta, ref_grads["beta"])
+    expect = bn_eval_ref(x, gamma, beta, mean, inv)
+    tensors = [Tensor(a.copy()) for a in (x, gamma, beta)]
+    with T.no_grad():
+        out = T.batchnorm_eval(*tensors, mean, inv)
+    assert _same_bits(out.data, expect)
+    for t, a in zip(tensors, (x, gamma, beta)):
+        assert _same_bits(t.data, a)  # inputs untouched
 
 
 def _no_grad_cases(rng):
     pre, w2, b2 = _inputs(rng)
     x = rng.normal(size=(23, 5))
     gamma, beta = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-    mean, inv = rng.normal(size=(1, 5)), rng.uniform(0.5, 2.0, size=(1, 5))
     cases = [(lambda p, w, b, n=name: T.mlp2(p, w, b, n), (pre, w2, b2)) for name in ACTIVATIONS]
     cases.append((lambda a, c, d: T.batchnorm_rows(a, c, d, 1e-5)[0], (x, gamma, beta)))
-    cases.append((lambda a, c, d: T.batchnorm_eval(a, c, d, mean, inv), (x, gamma, beta)))
     return cases
 
 

@@ -279,10 +279,9 @@ def test_divergence_aborts_with_last_good_checkpoint(rng, monkeypatch):
     real = training_mod.composite_loss
     calls = {"n": 0}
 
-    def wrapped(model, windows, config, rng=None, noise=None, training=True):
+    def wrapped(model, windows, config, rng=None, noise=None):
         calls["n"] += 1
-        loss, parts = real(model, windows, config, rng=rng, noise=noise,
-                           training=training)
+        loss, parts = real(model, windows, config, rng=rng, noise=noise)
         if calls["n"] > 2:
             parts = dict(parts, total=float("nan"))
         return loss, parts
