@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from .encoder import export_posterior_csv
@@ -111,9 +113,25 @@ def _write_tables(out_dir: str, tables: dict) -> None:
             fh.write(content)
 
 
-def _check_corpus(checkpoint: Checkpoint, corpus, digest: str, allow_mismatch: bool) -> None:
-    """The corpus must be the training corpus (unless allowed) and must
-    have the window length and dimension the checkpoint was built for."""
+def _checked_corpus(section: dict, checkpoint: Checkpoint, allow_mismatch: bool):
+    """The section's corpus (normalized unless turned off) and its canonical
+    hash. It must be the checkpoint's training corpus (unless allowed) and
+    have the window length and dimension the checkpoint was built for.
+
+    The hash of the file's text is the canonical hash when it equals the
+    checkpoint's, which `train` took from a serialization, and normalize
+    left the parsed corpus as it was (it divided by exactly 1.0, which
+    holds exactly when no value changed). In every other case the corpus
+    is serialized again to hash it.
+    """
+    text = corpus_mod.read_text(section["corpus"])
+    parsed = corpus_mod.loads(text)
+    corpus = parsed
+    if section.get("normalize", True):
+        corpus = corpus_mod.normalize(parsed)
+    digest = corpus_mod.hash_content(text)
+    if digest != checkpoint.corpus_hash or not np.array_equal(corpus.positions, parsed.positions):
+        digest = corpus_mod.corpus_hash(corpus)
     if checkpoint.corpus_hash != digest and not allow_mismatch:
         raise DataError(
             "corpus hash does not match the checkpoint's training corpus "
@@ -126,6 +144,7 @@ def _check_corpus(checkpoint: Checkpoint, corpus, digest: str, allow_mismatch: b
                 f"corpus has {key} {value}, the checkpoint was trained with "
                 f"{key} {checkpoint.arch.get(key)}"
             )
+    return corpus, digest
 
 
 # -- commands -------------------------------------------------------------------
@@ -180,9 +199,7 @@ def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> d
         if key not in section:
             raise ConfigError(f"predict section requires '{key}'")
     checkpoint = Checkpoint.load(section["checkpoint"])
-    corpus = _load_corpus(section["corpus"], section.get("normalize", True))
-    digest = corpus_mod.corpus_hash(corpus)
-    _check_corpus(checkpoint, corpus, digest, allow_mismatch)
+    corpus, digest = _checked_corpus(section, checkpoint, allow_mismatch)
     seed = section.get("seed", 0) if seed_override is None else seed_override
     model = checkpoint.build_model()
     predicted = predict_corpus(model, corpus, checkpoint.config.tau, seed)
@@ -219,9 +236,7 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
         if key not in section:
             raise ConfigError(f"rca section requires '{key}'")
     checkpoint = Checkpoint.load(section["checkpoint"])
-    corpus = _load_corpus(section["corpus"], section.get("normalize", True))
-    digest = corpus_mod.corpus_hash(corpus)
-    _check_corpus(checkpoint, corpus, digest, allow_mismatch)
+    corpus, digest = _checked_corpus(section, checkpoint, allow_mismatch)
     top_k = section.get("top_k", min(10, corpus.n_atoms))
     if not 1 <= top_k <= corpus.n_atoms:
         raise ConfigError(

@@ -380,15 +380,19 @@ def loads(content: str) -> TrajectoryCorpus:
     )
 
 
-def load(path) -> TrajectoryCorpus:
-    """`loads` of a file; a file that cannot be read or is not UTF-8 is a
-    DataError naming the path."""
+def read_text(path) -> str:
+    """The decoded text of a file; a file that cannot be read or is not
+    UTF-8 is a DataError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    return loads(content)
+
+
+def load(path) -> TrajectoryCorpus:
+    """`loads` of a file's text (see `read_text`)."""
+    return loads(read_text(path))
 
 
 # -- splits ------------------------------------------------------------------

@@ -14,6 +14,12 @@ so both halves (the bias added to the receiver's) are computed once per
 node, on B*N rows, and gathered to the B*N*(N-1) pair rows before the
 activation (see `Mlp2.forward_pairs`). Results match the concatenated form up to
 rounding in the last bits.
+
+`encode_logits` in eval mode records nothing: it runs the perceptrons on
+plain arrays (`Mlp2.eval_rows`, `Mlp2.eval_pairs`), in place, and both
+pair networks write into the same two pair-sized buffers, allocated once
+per call. It performs the taped ops' arithmetic in their order, so its
+outputs are the bits the taped composition gives.
 """
 
 from __future__ import annotations
@@ -103,7 +109,10 @@ class EncoderParams:
 def encode_logits(
     params: EncoderParams, windows: np.ndarray, training: bool = False
 ) -> T.Tensor:
-    """Edge-type logits [B*E, 3] for a batch of [B, N, T, D] windows."""
+    """Edge-type logits [B*E, 3] for a batch of [B, N, T, D] windows.
+
+    Training mode is taped and normalizes by the batch; eval mode uses the
+    running statistics and returns a Tensor off the tape."""
     if windows.ndim != 4:
         raise DimensionError(f"expected [B, N, T, D], got shape {windows.shape}")
     b, n, t, d = windows.shape
@@ -113,22 +122,37 @@ def encode_logits(
             f"{params.embed.n_in}"
         )
     idx = pair_index(n, b)
-    x = T.Tensor(windows.reshape(b * n, t * d))
-    node_h = params.embed.forward(x, training)
-    edge_h = params.edge1.forward_pairs(node_h, idx, training)
+    x = windows.reshape(b * n, t * d)
+    if not training:
+        return T.Tensor(_eval_logits(params, x, idx))
+    node_h = params.embed.forward(T.Tensor(x))
+    edge_h = params.edge1.forward_pairs(node_h, idx)
     agg = T.segment_sum_rows(edge_h, n - 1)
-    node_h2 = params.node1.forward(agg, training)
-    edge_h2 = params.edge2.forward_pairs(node_h2, idx, training)
+    node_h2 = params.node1.forward(agg)
+    edge_h2 = params.edge2.forward_pairs(node_h2, idx)
     return params.out.forward(edge_h2)
+
+
+def _eval_logits(params: EncoderParams, x: np.ndarray, idx) -> np.ndarray:
+    """Eval-mode logits of the [B*N, T*D] node rows `x` on plain arrays.
+    edge2 overwrites edge1's buffers: edge1's output is summed first."""
+    rows = len(idx.sender_rows)
+    pre = np.empty((rows, params.edge1.w1.shape[1]))
+    out = np.empty((rows, params.edge1.w2.shape[1]))
+    node_h = params.embed.eval_rows(x)
+    edge_h = params.edge1.eval_pairs(node_h, idx, pre, out)
+    agg = edge_h.reshape(len(x), idx.n_nodes - 1, -1).sum(axis=1)
+    node_h2 = params.node1.eval_rows(agg)
+    edge_h2 = params.edge2.eval_pairs(node_h2, idx, pre, out)
+    return edge_h2 @ params.out.w.data + params.out.b.data
 
 
 def encode(params: EncoderParams, sample: np.ndarray) -> EdgePosterior:
     """Posterior for one [N, T, D] sample (evaluation mode)."""
     if sample.ndim != 3:
         raise DimensionError(f"expected [N, T, D], got shape {sample.shape}")
-    with T.no_grad():
-        logits = encode_logits(params, sample[None, ...], training=False)
-        probs = T.softmax_rows(logits)
+    logits = encode_logits(params, sample[None, ...], training=False)
+    probs = T.softmax_rows(logits)
     return EdgePosterior.from_flat(probs.data, logits.data, sample.shape[0])
 
 

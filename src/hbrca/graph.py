@@ -6,7 +6,8 @@ patterns cheap and deterministic:
 
   * receiver features = each node row repeated (N-1) times,
   * sender features   = receiver features permuted by the transpose map
-    (which is its own inverse),
+    (which is its own inverse), or the node rows gathered directly by
+    `sender_rows`,
   * incoming-edge sums = contiguous fixed-order segment sums.
 """
 
@@ -54,6 +55,8 @@ class PairIndex:
             self.senders = np.tile(self.senders, batch)
             self.receivers = np.tile(self.receivers, batch)
         self.sigma = sigma  # self-inverse transpose permutation
+        # row of each pair's sender among the batch's B*N node rows
+        self.sender_rows = self.senders + np.repeat(np.arange(batch) * n_nodes, self.n_pairs)
 
     def to_matrix(self, flat: np.ndarray) -> np.ndarray:
         """[E, F] per-pair rows (one sample) -> [N, N, F] with i=sender and

@@ -4,15 +4,25 @@ Every message-passing map in the model is a 2-layer perceptron with a
 fixed activation, optionally followed by batch normalization over the
 row axis (rows are batch-of-entities: atoms or ordered pairs).
 
-`Mlp2` computes layer 1's pre-activation x W1 + b1 (per node and then
-gathered, in `forward_pairs`) and hands it to `tensor.mlp2`, one tape
-node that applies both activations and layer 2 with a hand-written
-backward. Batch norm follows as one more node in either mode. From the
-pre-activation on, a perceptron thus adds one node to the tape instead
-of four, and keeps two pair-sized arrays (hidden activation and output)
-instead of up to eight. The decoder's networks skip the tape altogether:
-they run on plain arrays inside its one-node transition
-(`decoder.step_flat`).
+A perceptron runs in one of two ways. Training (`Mlp2.forward`,
+`Mlp2.forward_pairs`) is taped: it computes layer 1's pre-activation
+x W1 + b1 (per node and then gathered, for pairs) and hands it to
+`tensor.mlp2`, one tape node that applies both activations and layer 2
+with a hand-written backward; batch norm with the batch's statistics
+follows as one more node. From the pre-activation on, a perceptron thus
+adds one node to the tape instead of four, and keeps two pair-sized
+arrays (hidden activation and output) instead of up to eight.
+
+Evaluation (`Mlp2.eval_rows`, `Mlp2.eval_pairs`) records nothing: it
+runs on plain arrays, in place on the pre-activation, through the same
+activation kernels in the same order of operations, with batch norm on
+the running statistics (`BatchNorm.eval_`), so it gives the bits the
+taped ops would. `eval_pairs` writes into buffers its caller passes: the
+encoder's eval pass (`encoder.encode_logits`) allocates two pair-sized
+buffers per call and both pair networks reuse them, because a fresh
+pair-sized array often comes back from the allocator as pages that fault
+in again. The decoder's networks skip the tape as well: they run on
+plain arrays inside its one-node transition (`decoder.step_flat`).
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ class BatchNorm:
 
     Training mode normalizes with the current batch's mean/variance
     (biased) and updates the running buffers with momentum BN_MOMENTUM;
-    eval mode uses the running buffers only.
+    eval mode uses the running buffers only, on a plain array.
     """
 
     gamma: T.Tensor
@@ -72,15 +82,23 @@ class BatchNorm:
             running_var=np.ones((1, width)),
         )
 
-    def forward(self, x: T.Tensor, training: bool) -> T.Tensor:
-        if training:
-            out, mean, var = T.batchnorm_rows(x, self.gamma, self.beta, BN_EPS)
-            m = BN_MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var
-            return out
-        inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-        return T.batchnorm_eval(x, self.gamma, self.beta, self.running_mean, inv)
+    def forward(self, x: T.Tensor) -> T.Tensor:
+        """Training mode: normalize by the batch and update the running
+        statistics."""
+        out, mean, var = T.batchnorm_rows(x, self.gamma, self.beta, BN_EPS)
+        m = BN_MOMENTUM
+        self.running_mean = (1 - m) * self.running_mean + m * mean
+        self.running_var = (1 - m) * self.running_var + m * var
+        return out
+
+    def eval_(self, h: np.ndarray) -> np.ndarray:
+        """Eval mode on a plain array, in place:
+        (h - mean) * inv * gamma + beta, left to right, inv = 1 / sqrt(var + eps)."""
+        h -= self.running_mean
+        h *= 1.0 / np.sqrt(self.running_var + BN_EPS)
+        h *= self.gamma.data
+        h += self.beta.data
+        return h
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -124,15 +142,16 @@ class Mlp2:
     def n_in(self) -> int:
         return self.w1.shape[0]
 
-    def forward(self, x: T.Tensor, training: bool = False) -> T.Tensor:
+    def forward(self, x: T.Tensor) -> T.Tensor:
+        """Training mode on the rows of `x`, taped."""
         x = x if isinstance(x, T.Tensor) else T.Tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.n_in:
             raise DimensionError(
                 f"expected input [*, {self.n_in}], got {x.data.shape}"
             )
-        return self._rest(T.add(T.matmul(x, self.w1), self.b1), training)
+        return self._rest(T.add(T.matmul(x, self.w1), self.b1))
 
-    def forward_pairs(self, node_h: T.Tensor, idx, training: bool = False) -> T.Tensor:
+    def forward_pairs(self, node_h: T.Tensor, idx) -> T.Tensor:
         """`forward` on the [sender, receiver] rows of every ordered pair of
         the B*N node rows `node_h` (`idx`: the batch's PairIndex). Layer 1
         runs per node, [s, r] W1 + b1 = s W1[:F] + (r W1[F:] + b1), then gathers."""
@@ -143,15 +162,49 @@ class Mlp2:
         send = T.matmul(node_h, T.rows(self.w1, 0, half))
         recv = T.add(T.matmul(node_h, T.rows(self.w1, half, 2 * half)), self.b1)
         send = T.permute_rows(T.repeat_rows(send, fan), idx.sigma, idx.sigma)
-        return self._rest(T.add(send, T.repeat_rows(recv, fan)), training)
+        return self._rest(T.add(send, T.repeat_rows(recv, fan)))
 
-    def _rest(self, pre: T.Tensor, training: bool) -> T.Tensor:
+    def _rest(self, pre: T.Tensor) -> T.Tensor:
         """Everything after layer 1's pre-activation: one fused node, then norm."""
         h = T.mlp2(pre, self.w2, self.b2, self.activation)
         if self.bn is not None:
-            h = self.bn.forward(h, training)
+            h = self.bn.forward(h)
         T.assert_finite(h.data, "mlp2 output")
         return h
+
+    def eval_rows(self, x: np.ndarray) -> np.ndarray:
+        """Eval mode on the rows of the plain array `x`; records nothing."""
+        pre = np.matmul(x, self.w1.data)
+        pre += self.b1.data
+        return self._eval_rest(pre, None)
+
+    def eval_pairs(self, node_h: np.ndarray, idx, pre: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+        """`eval_rows` on the pair rows of `forward_pairs`, written into the
+        caller's buffers `pre` [B*E, hidden] and `out` [B*E, n_out]. The
+        sender half is gathered by `idx.sender_rows`; the receiver half is
+        added over the receiver-major [B*N, N-1, hidden] view."""
+        half = self.n_in // 2
+        w1 = self.w1.data
+        send = np.matmul(node_h, w1[:half])
+        recv = np.matmul(node_h, w1[half:])
+        recv += self.b1.data
+        np.take(send, idx.sender_rows, axis=0, out=pre)
+        pre.reshape(len(recv), idx.n_nodes - 1, -1)[...] += recv[:, None, :]
+        return self._eval_rest(pre, out)
+
+    def _eval_rest(self, pre: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """`_rest` on plain arrays: `pre` becomes the hidden activation in
+        place, and the output goes to `out` (a fresh array if None)."""
+        act, _ = T._activation(self.activation)
+        act(pre, out=pre)
+        out = np.matmul(pre, self.w2.data, out=out)
+        out += self.b2.data
+        act(out, out=out)
+        if self.bn is not None:
+            self.bn.eval_(out)
+        T.assert_finite(out, "mlp2 output")
+        return out
 
     def parameters(self, prefix: str) -> dict:
         params = {

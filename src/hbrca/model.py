@@ -73,13 +73,12 @@ def encode_windows(model: ModelParams, windows: np.ndarray):
     s, n = windows.shape[0], windows.shape[1]
     probs = np.empty((s, n * (n - 1), 3))
     logits = np.empty_like(probs)
-    with T.no_grad():
-        for lo in range(0, s, _CHUNK):
-            hi = min(lo + _CHUNK, s)
-            lg = encode_logits(model.encoder, windows[lo:hi], training=False)
-            pr = T.softmax_rows(lg)
-            logits[lo:hi] = lg.data.reshape(hi - lo, -1, 3)
-            probs[lo:hi] = pr.data.reshape(hi - lo, -1, 3)
+    for lo in range(0, s, _CHUNK):
+        hi = min(lo + _CHUNK, s)
+        lg = encode_logits(model.encoder, windows[lo:hi], training=False)
+        pr = T.softmax_rows(lg)
+        logits[lo:hi] = lg.data.reshape(hi - lo, -1, 3)
+        probs[lo:hi] = pr.data.reshape(hi - lo, -1, 3)
     return probs, logits
 
 

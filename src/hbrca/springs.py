@@ -138,24 +138,26 @@ def simulate(spec: ScmSpec, t_total: int, seed: int):
         pos0 = spec.init_positions.copy()
     else:
         pos0 = rng.normal(0.0, 1.0, size=(n, d))
-    mobile = np.array([i not in spec.static_nodes for i in range(n)], dtype=float)
-    w_pre = _spring_matrix(spec, switched=False)
-    w_post = _spring_matrix(spec, switched=True)
+    mobile = np.array([i not in spec.static_nodes for i in range(n)], dtype=float)[:, None]
+    # force[j] = sum_i W[i,j] * (r[i] - r[j]) = (W.T @ r)[j] - colsum[j] * r[j]
+    pre, post = ((w, w.sum(axis=0)[:, None])
+                 for w in (_spring_matrix(spec, switched=False), _spring_matrix(spec, switched=True)))
+    # one draw of every step's noise gives the stream of per-step draws; without
+    # noise the zeros still add +0.0, which turns a step of -0.0 into +0.0
+    noise = (rng.normal(0.0, spec.noise_std, size=(t_total - 1, n, d))
+             if spec.noise_std > 0 else np.zeros((t_total - 1, 1, 1)))
     out = np.empty((n, t_total, d))
     out[:, 0, :] = pos0
     cur = pos0
     h = spec.step_size
     for t in range(t_total - 1):
-        w = w_post if (boundary is not None and t + 1 >= boundary) else w_pre
-        # force[j] = sum_i W[i,j] * (r[i] - r[j])
-        force = w.T @ cur - w.sum(axis=0)[:, None] * cur
-        noise = rng.normal(0.0, spec.noise_std, size=(n, d)) if spec.noise_std > 0 else 0.0
-        step = (h * force + noise) * mobile[:, None]
+        w, colsum = post if (boundary is not None and t + 1 >= boundary) else pre
+        step = (h * (w.T @ cur - colsum * cur) + noise[t]) * mobile
         cur = cur + step
-        if np.max(np.abs(cur)) > _BLOWUP_LIMIT:
+        if not np.abs(cur).max() <= _BLOWUP_LIMIT:
             raise InstabilityError(
-                f"positions exceeded {_BLOWUP_LIMIT:g} at step {t + 1}; "
-                "try a smaller step_size"
+                f"positions exceeded {_BLOWUP_LIMIT:g} or became non-finite at step "
+                f"{t + 1}; try a smaller step_size"
             )
         out[:, t + 1, :] = cur
     labels = RegimeLabels(

@@ -23,6 +23,11 @@ array-level perceptron `_perceptron` / `_perceptron_backward` that
 `mlp2` also runs. Every activation goes through `_activation`, which
 looks its kernel up by name at each call, so every ReLU in the program
 runs the one kernel `_relu`.
+
+Evaluation records nothing and needs no op here: the encoder's eval
+pass (`layers.Mlp2.eval_rows` / `eval_pairs`) runs on plain arrays,
+in place, through the same `_activation` kernels, and eval-mode batch
+norm is `layers.BatchNorm.eval_`.
 """
 
 from __future__ import annotations
@@ -473,17 +478,6 @@ def batchnorm_rows(x, gamma, beta, eps: float):
 
     out = _node(out_data, (x, gamma, beta), backward)
     return out, mean, var
-
-
-def batchnorm_eval(x, gamma, beta, mean: np.ndarray, inv: np.ndarray) -> Tensor:
-    """(x - mean) * inv * gamma + beta with fixed statistics, evaluated left
-    to right in place. Not recorded: eval-mode batch norm runs only under
-    `no_grad` (`model.encode_windows`, `encoder.encode`)."""
-    xhat = _wrap(x).data - mean
-    xhat *= inv
-    xhat *= _wrap(gamma).data
-    xhat += _wrap(beta).data
-    return Tensor(xhat)
 
 
 # -- softmax --------------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hbrca import corpus as corpus_mod
 from hbrca.cli import main
 from hbrca.corpus import load, normalize
 from hbrca.rca import run_rca
@@ -204,6 +206,21 @@ def test_generate_with_zero_noise_two_body_matches_oracle(workdir):
     for t in range(50):
         expect = (1.0 - 0.08) ** t * d0
         assert np.max(np.abs(pos[1, t] - expect)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_non_finite_simulation_gives_exit_4(workdir, seed, capsys):
+    """Springs of 1e308 overflow at the first step: to inf and past the
+    blow-up limit (seed 1), or to NaN (seed 3). Both are numerical failures."""
+    cfg = {"schema_version": 1, "generate": {
+        "scm": {"n_nodes": 3, "n_dims": 3, "edges": [[0, 1, 1], [2, 1, 1]],
+                "k_attract": 1e308, "noise_std": 0.0, "static_nodes": [0]},
+        "t_total": 50, "seed": seed}}
+    path = write_config(workdir / "g.json", cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["generate", "--config", path, "--out", str(workdir / "o")])
+    assert code == 4
+    assert "non-finite at step 1" in capsys.readouterr().err
 
 
 def test_unknown_config_key_gives_exit_2(workdir):
@@ -457,6 +474,74 @@ def test_command_rejects_flag_it_does_not_take(tmp_path, command, flag, capsys):
         main([command, "--config", path, "--out", str(tmp_path / "o")] + flag)
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+# -- predict and rca hash the text they read -----------------------------------
+
+
+def _echoed_hash(out_dir):
+    return json.loads((out_dir / "config.json").read_text())["corpus_hash"]
+
+
+@pytest.mark.parametrize("command", ["predict", "rca"])
+def test_canonical_file_is_hashed_without_serializing(trained, tmp_path, command,
+                                                      monkeypatch):
+    """On the file `generate` wrote, the text's own hash is the canonical
+    hash: the corpus read is never serialized to hash it (predict still
+    serializes the corpus it predicts, to write predicted.txt)."""
+    corpus, checkpoint = trained
+    serialized = []
+    real = corpus_mod.serialize
+    monkeypatch.setattr(corpus_mod, "serialize",
+                        lambda c: serialized.append(c.predicted) or real(c))
+    path = write_config(tmp_path / "c.json", {
+        "schema_version": 1, command: {"checkpoint": checkpoint, "corpus": corpus}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert serialized == ([True] if command == "predict" else [])
+    assert _echoed_hash(tmp_path / "o") == _echoed_hash(Path(corpus).parent)
+
+
+def test_non_canonical_file_of_the_training_corpus_echoes_the_canonical_hash(
+        trained, tmp_path):
+    """The same corpus with its floats written by repr: the text hash
+    differs, and the canonical hash is taken from a fresh serialization."""
+    corpus, checkpoint = trained
+    lines = open(corpus, encoding="utf-8").read().splitlines()
+    rows = [row.split(",") for row in lines[2:]]
+    text = "\n".join(lines[:2] + [",".join(r[:3] + [repr(float(v)) for v in r[3:]])
+                                  for r in rows]) + "\n"
+    assert text != open(corpus, encoding="utf-8").read()
+    other = tmp_path / "repr.txt"
+    other.write_text(text, encoding="utf-8")
+    assert np.array_equal(load(other).positions, load(corpus).positions)
+    for command in ("predict", "rca"):
+        path = write_config(tmp_path / "c.json", {
+            "schema_version": 1, command: {"checkpoint": checkpoint, "corpus": str(other)}})
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert _echoed_hash(out) == _echoed_hash(Path(corpus).parent)
+
+
+def test_normalize_that_changes_the_corpus_gets_a_fresh_hash(workdir, capsys):
+    """Trained on an unnormalized corpus with normalize off, then read with
+    normalize on: the file's text is the training corpus, the corpus used
+    is not, so the hashes must not match."""
+    doc = generate_config()
+    doc["generate"]["normalize"] = False
+    cfg = write_config(workdir / "gen.json", doc)
+    assert main(["generate", "--config", cfg, "--out", str(workdir / "gen")]) == 0
+    corpus = str(workdir / "gen" / "corpus.txt")
+    assert np.max(np.abs(load(corpus).positions)) != 1.0
+    tcfg = write_config(workdir / "train.json", {"schema_version": 1, "train": {
+        "corpus": corpus, "phase": "rca", "normalize": False,
+        "config": {"epochs": 1, "batch_size": 16}}})
+    assert main(["train", "--config", tcfg, "--out", str(workdir / "train")]) == 0
+    checkpoint = str(workdir / "train" / "checkpoint.json")
+    for normalize_corpus, code in ((False, 0), (True, 3)):
+        rcfg = write_config(workdir / "rca.json", {"schema_version": 1, "rca": {
+            "checkpoint": checkpoint, "corpus": corpus, "normalize": normalize_corpus}})
+        assert main(["rca", "--config", rcfg, "--out", str(workdir / "rca")]) == code
+    assert "corpus hash does not match" in capsys.readouterr().err
 
 
 def _version_1(doc):

@@ -1,11 +1,14 @@
-"""Fused tape nodes against the unfused composition, bit for bit.
+"""Fused tape nodes and in-place eval paths against the unfused
+composition, bit for bit.
 
-`tensor.mlp2`, `tensor.batchnorm_rows`, `tensor.batchnorm_eval` and the
-decoder's `step_flat` each replace a chain of ops. The references below are that chain
-written in plain numpy, with the two-branch np.where activations, in the
-order the unfused ops evaluated it. Outputs and every gradient must agree
-exactly, including at inputs of exactly +0.0 and -0.0. `batchnorm_eval`
-runs only under `no_grad`, so only its output is checked.
+`tensor.mlp2`, `tensor.batchnorm_rows`, the decoder's `step_flat`, the
+eval-mode batch norm `BatchNorm.eval_` and the encoder's eval pass
+(`encode_logits(training=False)`) each replace a chain of ops. The
+references below are that chain written in plain numpy, with the
+two-branch np.where activations, in the order the unfused ops evaluated
+it. Outputs and every gradient must agree exactly, including at inputs of
+exactly +0.0 and -0.0. The eval paths record nothing, so only their
+outputs are checked.
 """
 
 import numpy as np
@@ -13,8 +16,11 @@ import pytest
 
 from hbrca import tensor as T
 from hbrca.decoder import DecoderParams, step_flat
+from hbrca.encoder import EncoderParams, encode_logits
 from hbrca.errors import ParameterError
 from hbrca.graph import pair_index
+from hbrca.layers import BN_EPS, BatchNorm
+from hbrca.model import _CHUNK, ModelParams, encode_windows
 from hbrca.tensor import Tensor
 
 ACTIVATIONS = ("relu", "elu")
@@ -154,17 +160,16 @@ def test_batchnorm_rows_matches_unfused_composition_bitwise(rng):
 
 def test_batchnorm_eval_matches_unfused_composition_bitwise(rng):
     x = _with_signed_zeros(rng.normal(loc=0.3, size=(41, 5)), rng)
-    gamma = rng.normal(size=(1, 5))
-    beta = rng.normal(size=(1, 5))
-    mean = rng.normal(size=(1, 5))
-    inv = 1.0 / np.sqrt(rng.uniform(0.5, 2.0, size=(1, 5)) + 1e-5)
-    expect = bn_eval_ref(x, gamma, beta, mean, inv)
-    tensors = [Tensor(a.copy()) for a in (x, gamma, beta)]
-    with T.no_grad():
-        out = T.batchnorm_eval(*tensors, mean, inv)
-    assert _same_bits(out.data, expect)
-    for t, a in zip(tensors, (x, gamma, beta)):
-        assert _same_bits(t.data, a)  # inputs untouched
+    bn = BatchNorm.create(5)
+    bn.gamma.data[...] = rng.normal(size=(1, 5))
+    bn.beta.data[...] = rng.normal(size=(1, 5))
+    bn.running_mean[...] = rng.normal(size=(1, 5))
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=(1, 5))
+    inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
+    expect = bn_eval_ref(x, bn.gamma.data, bn.beta.data, bn.running_mean, inv)
+    h = x.copy()
+    assert bn.eval_(h) is h
+    assert _same_bits(h, expect)
 
 
 def _no_grad_cases(rng):
@@ -194,6 +199,75 @@ def test_mlp2_rejects_unknown_activation(rng):
     pre, w2, b2 = _inputs(rng)
     with pytest.raises(ParameterError):
         T.mlp2(Tensor(pre), Tensor(w2), Tensor(b2), "tanh")
+
+
+# -- the encoder's eval pass -------------------------------------------------------
+
+
+def encoder_eval_ref(params, windows):
+    """Eval-mode logits as the taped ops composed them: layer 1 per node,
+    the sender half repeated and gathered by the transpose map, both
+    halves added, np.where ELUs, (x - mean) * inv * gamma + beta."""
+    b, n, t, d = windows.shape
+    idx = pair_index(n, b)
+
+    def mlp(m, pre):
+        h, _ = _act_ref("elu", pre)
+        out, _ = _act_ref("elu", h @ m.w2.data + m.b2.data)
+        inv = 1.0 / np.sqrt(m.bn.running_var + BN_EPS)
+        return bn_eval_ref(out, m.bn.gamma.data, m.bn.beta.data, m.bn.running_mean, inv)
+
+    def pairs(m, node_h):
+        half = node_h.shape[1]
+        send = np.repeat(node_h @ m.w1.data[:half], n - 1, axis=0)[idx.sigma]
+        recv = np.repeat(node_h @ m.w1.data[half:] + m.b1.data, n - 1, axis=0)
+        return mlp(m, send + recv)
+
+    x = windows.reshape(b * n, t * d)
+    node_h = mlp(params.embed, x @ params.embed.w1.data + params.embed.b1.data)
+    edge_h = pairs(params.edge1, node_h)
+    agg = edge_h.reshape(b * n, n - 1, -1).sum(axis=1)
+    node_h2 = mlp(params.node1, agg @ params.node1.w1.data + params.node1.b1.data)
+    edge_h2 = pairs(params.edge2, node_h2)
+    return edge_h2 @ params.out.w.data + params.out.b.data
+
+
+def _encoder(rng, n_in, hidden):
+    """Encoder with random batch-norm statistics and affine pairs."""
+    params = EncoderParams.create(rng, n_in, hidden)
+    for mlp in (params.embed, params.edge1, params.node1, params.edge2):
+        mlp.bn.running_mean[...] = rng.normal(size=mlp.bn.running_mean.shape)
+        mlp.bn.running_var[...] = rng.uniform(0.5, 2.0, size=mlp.bn.running_var.shape)
+        mlp.bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=mlp.bn.gamma.shape)
+        mlp.bn.beta.data[...] = rng.normal(size=mlp.bn.beta.shape)
+    return params
+
+
+@pytest.mark.parametrize("n,batch", [(2, 3), (5, 131)], ids=["N2", "N5-B131"])
+def test_encoder_eval_matches_unfused_composition_bitwise(n, batch, rng):
+    """Outside `no_grad`, with every parameter on the tape: the eval pass
+    records nothing, leaves the windows as they were and gives the bits
+    of the unfused composition."""
+    t, d = 3, 2
+    params = _encoder(rng, t * d, hidden=16)
+    windows = _with_signed_zeros(rng.normal(size=(batch, n, t, d)), rng)
+    before = windows.copy()
+    got = encode_logits(params, windows, training=False)
+    assert _same_bits(got.data, encoder_eval_ref(params, windows))
+    assert _same_bits(windows, before)
+    assert not got.requires_grad and got._parents == () and got._backward is None
+    assert all(p.grad is None for p in params.parameters().values())
+
+
+def test_encode_windows_chunks_match_unfused_composition_bitwise(rng):
+    """A batch that is not a multiple of the chunk: the last chunk is partial."""
+    model = ModelParams.create(rng, 3, 2, enc_hidden=16, dec_hidden=8, msg_dim=8)
+    model.encoder = _encoder(rng, 3 * 2, hidden=16)
+    windows = rng.normal(size=(_CHUNK + 3, 5, 3, 2))
+    _, logits = encode_windows(model, windows)
+    for lo in (0, _CHUNK):
+        expect = encoder_eval_ref(model.encoder, windows[lo:lo + _CHUNK])
+        assert _same_bits(logits[lo:lo + _CHUNK].reshape(-1, 3), expect)
 
 
 # -- the decoder transition -------------------------------------------------------

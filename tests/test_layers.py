@@ -79,12 +79,12 @@ def test_mlp_gradients_match_finite_differences(rng):
     def loss_value():
         bn_mean = m.bn.running_mean.copy()
         bn_var = m.bn.running_var.copy()
-        out = float(T.tsum(T.square(m.forward(Tensor(x), training=True))).data)
+        out = float(T.tsum(T.square(m.forward(Tensor(x)))).data)
         m.bn.running_mean[...] = bn_mean  # keep the probe side-effect free
         m.bn.running_var[...] = bn_var
         return out
 
-    loss = T.tsum(T.square(m.forward(Tensor(x), training=True)))
+    loss = T.tsum(T.square(m.forward(Tensor(x))))
     for p in params.values():
         p.zero_grad()
     loss.backward()
@@ -96,9 +96,9 @@ def test_mlp_gradients_match_finite_differences(rng):
 def test_batchnorm_eval_uses_running_stats(rng):
     bn = BatchNorm.create(3)
     x = rng.normal(loc=2.0, size=(50, 3))
-    y_train = bn.forward(Tensor(x), training=True)
+    y_train = bn.forward(Tensor(x))
     assert abs(float(y_train.data.mean())) < 1e-9  # batch stats center the output
-    y_eval = bn.forward(Tensor(x), training=False).data
+    y_eval = bn.eval_(x.copy())
     expect = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y_eval, expect)
 

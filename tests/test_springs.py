@@ -4,10 +4,13 @@ import pytest
 from hbrca.corpus import window_corpus
 from hbrca.errors import ConfigError, InstabilityError, ParameterError
 from hbrca.rca import GroundTruthOracle
+from hbrca.rng import substream
 from hbrca.springs import (
     EDGE_ATTRACT,
+    EDGE_SWITCHED,
     HbCriterion,
     ScmSpec,
+    _spring_matrix,
     hb_indicator,
     label_hb_events,
     simulate,
@@ -81,8 +84,6 @@ def test_nodes_outside_change_set_keep_their_mechanism():
     spec = ScmSpec(n_nodes=n, adjacency=adj, k_attract=1.0, k_switch=0.0,
                    change_set={3}, boundary_step=10, noise_std=0.0,
                    init_positions=rng.normal(size=(n, 3)))
-    from hbrca.springs import _spring_matrix
-
     w_pre = _spring_matrix(spec, switched=False)
     w_post = _spring_matrix(spec, switched=True)
     states = rng.normal(size=(7, n, 3))
@@ -116,6 +117,39 @@ def test_switched_node_has_largest_distribution_shift():
         oracle = GroundTruthOracle.fit(windows)
         top.append(int(np.argmax(oracle.scores("kl"))))
     assert top == [3, 3, 3, 3, 3]
+
+
+def _simulate_per_step(spec, t_total, seed, boundary):
+    """The simulator's loop as first written: spring matrix, column sums
+    and noise drawn afresh at every step."""
+    rng = substream(seed, "simulate", 0)
+    n, d = spec.n_nodes, spec.n_dims
+    cur = spec.init_positions.copy() if spec.init_positions is not None \
+        else rng.normal(0.0, 1.0, size=(n, d))
+    mobile = np.array([i not in spec.static_nodes for i in range(n)], dtype=float)
+    out = [cur]
+    for t in range(t_total - 1):
+        w = _spring_matrix(spec, switched=t + 1 >= boundary)
+        force = w.T @ cur - w.sum(axis=0)[:, None] * cur
+        noise = rng.normal(0.0, spec.noise_std, size=(n, d)) if spec.noise_std > 0 else 0.0
+        cur = cur + (spec.step_size * force + noise) * mobile[:, None]
+        out.append(cur)
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.2])
+def test_simulate_matches_per_step_loop_bitwise(noise_std):
+    """Hoisted column sums and one up-front noise draw give the bits of the
+    per-step loop, on both sides of the mechanism switch."""
+    adj = np.zeros((5, 5), dtype=int)
+    adj[0, 3] = adj[1, 4] = EDGE_ATTRACT
+    adj[2, 4] = EDGE_SWITCHED
+    spec = ScmSpec(n_nodes=5, adjacency=adj, k_attract=9.5, k_switch=1.0,
+                   noise_std=noise_std, change_set={3}, boundary_step=40,
+                   static_nodes={0, 1})
+    corpus, _ = simulate(spec, 100, seed=7)
+    expect = _simulate_per_step(spec, 100, 7, boundary=40)
+    assert corpus.positions[0].tobytes() == expect.tobytes()
 
 
 def test_blowup_raises_instability():
