@@ -52,7 +52,9 @@ def load_run_config(path: str, command: str) -> dict:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(doc) - {"schema_version"} - set(_SECTION_KEYS)

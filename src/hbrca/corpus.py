@@ -10,11 +10,16 @@ _CHUNK_ROWS rows per %-format call, and `loads` reads the payload with
 numpy's C text reader and then validates it in bulk. Only when a bulk
 check fails does `_raise_first_bad_row` walk the rows one by one, to name
 the first line at fault.
+
+`save` and `corpus_hash` take the text block by block and never hold all
+of it, nor its UTF-8 bytes: on a large corpus each whole copy is megabytes
+that the allocator must find, and often fault in, on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -39,6 +44,8 @@ _META_OPTIONAL = ("regimes", "root_cause_nodes", "boundary_step", "roles",
 
 # rows per %-format call: bounds the tuple of values a call builds
 _CHUNK_ROWS = 4096
+# characters per piece that `hash_content` encodes at a time
+_HASH_CHARS = 1 << 20
 
 
 def format_rows(row: str, *columns: np.ndarray) -> str:
@@ -49,14 +56,17 @@ def format_rows(row: str, *columns: np.ndarray) -> str:
     newline. Every table the program writes is built here, with "%.17g"
     for each float, so that every written float reads back exactly.
     """
+    return "".join(_row_blocks(row, *columns))
+
+
+def _row_blocks(row: str, *columns: np.ndarray):
+    """The text of `format_rows`, _CHUNK_ROWS rows at a time."""
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     n_rows = len(columns[0])
-    parts = []
     for lo in range(0, n_rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_rows)
         block = np.concatenate([c[lo:hi].astype(object) for c in columns], axis=1)
-        parts.append((row * (hi - lo)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 
 
 @dataclass
@@ -218,6 +228,13 @@ def _row_keys(shape: tuple) -> np.ndarray:
 
 
 def serialize(corpus: TrajectoryCorpus) -> str:
+    return "".join(_text_blocks(corpus))
+
+
+def _text_blocks(corpus: TrajectoryCorpus):
+    """The corpus file's text in pieces: the two head lines, then blocks of
+    _CHUNK_ROWS rows. A corpus the format cannot hold fails here, before
+    any piece is made."""
     if corpus.n_dims > len(_AXIS_NAMES):
         raise DataError(f"file format supports up to 3 dims, got {corpus.n_dims}")
     head = (json.dumps(_metadata_dict(corpus), sort_keys=True) + "\n"
@@ -225,24 +242,36 @@ def serialize(corpus: TrajectoryCorpus) -> str:
     keys = _row_keys(corpus.positions.shape)
     values = corpus.positions.reshape(len(keys), corpus.n_dims)
     row = "%d,%d,%d," + ",".join(["%.17g"] * corpus.n_dims) + "\n"
-    return head + format_rows(row, keys, values)
+    return itertools.chain([head], _row_blocks(row, keys, values))
 
 
 def save(corpus: TrajectoryCorpus, path) -> str:
     """Write the corpus file; returns its content hash."""
-    content = serialize(corpus)
+    blocks = _text_blocks(corpus)
+    digest = hashlib.sha256()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    return hash_content(content)
+        for block in blocks:
+            fh.write(block)
+            digest.update(block.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def hash_content(content: str) -> str:
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    return _sha256(content[lo:lo + _HASH_CHARS] for lo in range(0, len(content), _HASH_CHARS))
 
 
 def corpus_hash(corpus: TrajectoryCorpus) -> str:
     """Hash of the canonical serialized form (file and memory agree)."""
-    return hash_content(serialize(corpus))
+    return _sha256(_text_blocks(corpus))
+
+
+def _sha256(pieces) -> str:
+    """SHA-256 of the UTF-8 text that `pieces` join to, fed one piece at a
+    time."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _parse_metadata(line: str) -> dict:
@@ -354,6 +383,10 @@ def loads(content: str) -> TrajectoryCorpus:
             for k, v in meta.get("regimes", {}).items():
                 if v not in (PERSIST, SEPARATED):
                     raise ParseError(f"unknown regime label '{v}'", line=1)
+                if not 0 <= int(k) < shape[0]:
+                    raise ParseError(
+                        f"regime key '{k}' is not a window of the {shape[0]} in the file",
+                        line=1)
                 regimes[int(k)] = v
             labels = RegimeLabels(
                 regimes=regimes,
@@ -366,7 +399,10 @@ def loads(content: str) -> TrajectoryCorpus:
         names = [str(n) for n in meta["atom_names"]]
         if len(names) != n_atoms:
             raise ParseError("atom_names length does not match n_atoms", line=1)
-        dt, scale = float(meta["dt"]), float(meta["normalization_scale"])
+        dt, scale = (float(check_number(key, meta[key], minimum=0, above=True))
+                     for key in ("dt", "normalization_scale"))
+    except ParameterError as exc:
+        raise ParseError(str(exc), line=1)
     except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
         raise ParseError(f"malformed metadata: {exc}", line=1)
     return TrajectoryCorpus(

@@ -20,9 +20,9 @@ arrays: the [sender, receiver] pair rows, both message networks, the
 edge-type weighting and per-receiver sums, the two message heads, the
 node network, the output head and the residual. It keeps only what its
 backward reads: the pair rows, each network's hidden and output
-activations, the per-receiver sums and the aggregate. The perceptrons
-are `tensor._perceptron`, the same math (one ReLU kernel, one slope rule)
-as `tensor.mlp2`.
+activations, the per-receiver sums and the aggregate. Each network runs
+`Mlp2.run_rows` and `Mlp2.backward_rows`, the same code as the
+encoder's networks.
 
 The backward is the op-by-op chain's backward written out. It adds into
 each gradient with the same expressions, in the same order:
@@ -110,30 +110,6 @@ def edge_terms(params: DecoderParams, edge_onehots: T.Tensor, idx: PairIndex) ->
     return a_hb, a_sep, bias
 
 
-def _net_forward(net: Mlp2, x: np.ndarray) -> tuple:
-    """(hidden, out) of a ReLU network on plain arrays, layer 1 included."""
-    act, _ = T._activation(net.activation)
-    hidden, out = T._perceptron(x @ net.w1.data + net.b1.data, net.w2.data, net.b2.data, act)
-    T.assert_finite(out, "mlp2 output")
-    return hidden, out
-
-
-def _affine_backward(g: np.ndarray, x: np.ndarray, w: T.Tensor, b: T.Tensor | None) -> None:
-    """Adds the gradients of x @ w (+ b) under upstream gradient g."""
-    if b is not None and b.requires_grad:
-        b._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-    if w.requires_grad:
-        w._accumulate(x.T @ g, owned=True)
-
-
-def _net_backward(net: Mlp2, x, hidden, out, g, x_grad: bool):
-    """Backward of `_net_forward` (scales g in place); returns dL/dx or None."""
-    _, slope = T._activation(net.activation)
-    dh = T._perceptron_backward(g, hidden, out, net.w2, net.b2, slope)
-    _affine_backward(dh, x, net.w1, net.b1)
-    return dh @ net.w1.data.T if x_grad else None
-
-
 def step_flat(
     params: DecoderParams,
     positions: T.Tensor,
@@ -149,31 +125,32 @@ def step_flat(
     weights = (a_hb, a_sep)
     recv = np.repeat(positions.data, group, axis=0)
     pair = np.concatenate([recv[idx.sigma], recv], axis=1)
-    msgs = [_net_forward(net, pair) for net in nets]
+    # the decoder's networks have no batch norm, so `training` changes nothing
+    msgs = [net.run_rows(pair, training=True) for net in nets]
     summed = [(out * a.data).reshape(-1, group, out.shape[1]).sum(axis=1)
-              for (_, out), a in zip(msgs, weights)]
+              for (out, _), a in zip(msgs, weights)]
     agg = summed[0] @ heads[0].w.data
     agg = agg + summed[1] @ heads[1].w.data
     agg = agg + bias.data
-    node_hidden, node_out = _net_forward(params.node, agg)
+    node_out, node_saved = params.node.run_rows(agg, training=True)
     out_w, out_b = params.out_head.w, params.out_head.b
     out_data = positions.data + (node_out @ out_w.data + out_b.data)
 
     def backward(g):
         if positions.requires_grad:
             positions._accumulate(g)
-        _affine_backward(g, node_out, out_w, out_b)
-        g_agg = _net_backward(params.node, agg, node_hidden, node_out, g @ out_w.data.T, True)
+        T._affine_backward(g, node_out, out_w, out_b)
+        g_agg = params.node.backward_rows(g @ out_w.data.T, agg, node_saved)
         if bias.requires_grad:
             bias._accumulate(g_agg)
         g_pair = None
-        for net, head, a, (hidden, out), h in zip(nets, heads, weights, msgs, summed):
-            _affine_backward(g_agg, h, head.w, None)
+        for net, head, a, (out, saved), h in zip(nets, heads, weights, msgs, summed):
+            T._affine_backward(g_agg, h, head.w, None)
             g_rows = np.repeat(g_agg @ head.w.data.T, group, axis=0)
             if a.requires_grad:
                 a._accumulate((g_rows * out).sum(axis=1, keepdims=True), owned=True)
             g_rows *= a.data
-            d_pair = _net_backward(net, pair, hidden, out, g_rows, positions.requires_grad)
+            d_pair = net.backward_rows(g_rows, pair, saved, positions.requires_grad)
             if g_pair is None:
                 g_pair = d_pair
             else:

@@ -12,14 +12,24 @@ concatenation. Their first layer splits by the identity
 
 so both halves (the bias added to the receiver's) are computed once per
 node, on B*N rows, and gathered to the B*N*(N-1) pair rows before the
-activation (see `Mlp2.forward_pairs`). Results match the concatenated form up to
-rounding in the last bits.
+activation (see `Mlp2.run_pairs`). Results match the concatenated form
+up to rounding in the last bits.
 
-`encode_logits` in eval mode records nothing: it runs the perceptrons on
-plain arrays (`Mlp2.eval_rows`, `Mlp2.eval_pairs`), in place, and both
-pair networks write into the same two pair-sized buffers, allocated once
-per call. It performs the taped ops' arithmetic in their order, so its
-outputs are the bits the taped composition gives.
+`encode_logits` has one forward pass (`_forward`) on plain arrays for
+both modes. Eval mode normalizes with the running statistics, in place,
+and both pair networks write into the same two pair-sized buffers,
+allocated once per call. Training mode normalizes with the batch's
+statistics and updates the running ones; each network gets fresh
+buffers, because the backward reads them.
+
+In training the logits are one tape node whose parents are the 26
+encoder parameters. It keeps only what its backward reads: each
+network's hidden activation, layer 2's activation and the normalized
+rows, plus the node rows that enter each layer 1 and edge2's output.
+The backward is the op-by-op chain's backward written out (the output
+head, then each network from edge2 back to embed, with the segment sum
+between edge1 and node1 as a repeat), with the same expressions; no
+gradient in it sums more than two terms, so it gives that chain's bits.
 """
 
 from __future__ import annotations
@@ -111,8 +121,8 @@ def encode_logits(
 ) -> T.Tensor:
     """Edge-type logits [B*E, 3] for a batch of [B, N, T, D] windows.
 
-    Training mode is taped and normalizes by the batch; eval mode uses the
-    running statistics and returns a Tensor off the tape."""
+    Training mode normalizes by the batch and returns one tape node; eval
+    mode uses the running statistics and returns a Tensor off the tape."""
     if windows.ndim != 4:
         raise DimensionError(f"expected [B, N, T, D], got shape {windows.shape}")
     b, n, t, d = windows.shape
@@ -123,28 +133,39 @@ def encode_logits(
         )
     idx = pair_index(n, b)
     x = windows.reshape(b * n, t * d)
+    logits, saved = _forward(params, x, idx, training)
     if not training:
-        return T.Tensor(_eval_logits(params, x, idx))
-    node_h = params.embed.forward(T.Tensor(x))
-    edge_h = params.edge1.forward_pairs(node_h, idx)
-    agg = T.segment_sum_rows(edge_h, n - 1)
-    node_h2 = params.node1.forward(agg)
-    edge_h2 = params.edge2.forward_pairs(node_h2, idx)
-    return params.out.forward(edge_h2)
+        return T.Tensor(logits)
+    node_h, s_embed, s_edge1, agg, s_node1, node_h2, s_edge2, edge_h2 = saved
+    out = params.out
+
+    def backward(g):
+        T._affine_backward(g, edge_h2, out.w, out.b)
+        g_node2 = params.edge2.backward_pairs(g @ out.w.data.T, node_h2, idx, s_edge2)
+        g_agg = params.node1.backward_rows(g_node2, agg, s_node1)
+        g_edge = np.repeat(g_agg, n - 1, axis=0)
+        g_node = params.edge1.backward_pairs(g_edge, node_h, idx, s_edge1)
+        params.embed.backward_rows(g_node, x, s_embed, x_grad=False)
+
+    return T._node(logits, tuple(params.parameters().values()), backward)
 
 
-def _eval_logits(params: EncoderParams, x: np.ndarray, idx) -> np.ndarray:
-    """Eval-mode logits of the [B*N, T*D] node rows `x` on plain arrays.
-    edge2 overwrites edge1's buffers: edge1's output is summed first."""
-    rows = len(idx.sender_rows)
-    pre = np.empty((rows, params.edge1.w1.shape[1]))
-    out = np.empty((rows, params.edge1.w2.shape[1]))
-    node_h = params.embed.eval_rows(x)
-    edge_h = params.edge1.eval_pairs(node_h, idx, pre, out)
+def _forward(params: EncoderParams, x: np.ndarray, idx, training: bool) -> tuple:
+    """Logits of the [B*N, T*D] node rows `x`, and what the backward reads.
+    In eval mode edge2 overwrites edge1's buffers: edge1's output is summed
+    first."""
+    buffers = {}
+    if not training:
+        rows = len(idx.sender_rows)
+        buffers = {"pre": np.empty((rows, params.edge1.w1.shape[1])),
+                   "out": np.empty((rows, params.edge1.w2.shape[1]))}
+    node_h, s_embed = params.embed.run_rows(x, training)
+    edge_h, s_edge1 = params.edge1.run_pairs(node_h, idx, training, **buffers)
     agg = edge_h.reshape(len(x), idx.n_nodes - 1, -1).sum(axis=1)
-    node_h2 = params.node1.eval_rows(agg)
-    edge_h2 = params.edge2.eval_pairs(node_h2, idx, pre, out)
-    return edge_h2 @ params.out.w.data + params.out.b.data
+    node_h2, s_node1 = params.node1.run_rows(agg, training)
+    edge_h2, s_edge2 = params.edge2.run_pairs(node_h2, idx, training, **buffers)
+    logits = edge_h2 @ params.out.w.data + params.out.b.data
+    return logits, (node_h, s_embed, s_edge1, agg, s_node1, node_h2, s_edge2, edge_h2)
 
 
 def encode(params: EncoderParams, sample: np.ndarray) -> EdgePosterior:

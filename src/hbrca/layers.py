@@ -4,25 +4,16 @@ Every message-passing map in the model is a 2-layer perceptron with a
 fixed activation, optionally followed by batch normalization over the
 row axis (rows are batch-of-entities: atoms or ordered pairs).
 
-A perceptron runs in one of two ways. Training (`Mlp2.forward`,
-`Mlp2.forward_pairs`) is taped: it computes layer 1's pre-activation
-x W1 + b1 (per node and then gathered, for pairs) and hands it to
-`tensor.mlp2`, one tape node that applies both activations and layer 2
-with a hand-written backward; batch norm with the batch's statistics
-follows as one more node. From the pre-activation on, a perceptron thus
-adds one node to the tape instead of four, and keeps two pair-sized
-arrays (hidden activation and output) instead of up to eight.
-
-Evaluation (`Mlp2.eval_rows`, `Mlp2.eval_pairs`) records nothing: it
-runs on plain arrays, in place on the pre-activation, through the same
-activation kernels in the same order of operations, with batch norm on
-the running statistics (`BatchNorm.eval_`), so it gives the bits the
-taped ops would. `eval_pairs` writes into buffers its caller passes: the
-encoder's eval pass (`encoder.encode_logits`) allocates two pair-sized
-buffers per call and both pair networks reuse them, because a fresh
-pair-sized array often comes back from the allocator as pages that fault
-in again. The decoder's networks skip the tape as well: they run on
-plain arrays inside its one-node transition (`decoder.step_flat`).
+The layers hold parameters and record nothing on the tape: each network
+is one step inside a fused node that runs on plain arrays. The encoder's
+networks (`encoder.encode_logits`) run `Mlp2.run_rows` and
+`Mlp2.run_pairs`, which work in place on layer 1's pre-activation, and
+their backward is `Mlp2.backward_rows` / `Mlp2.backward_pairs`. The same
+forward serves training and evaluation; they differ only in batch norm
+(`BatchNorm.normalize`: the batch's statistics, or the running ones in
+place) and in the buffers the caller passes. The decoder's networks,
+which have no batch norm, run `run_rows` and `backward_rows` inside its
+one-node transition (`decoder.step_flat`).
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .rng import gumbel
 
 ACTIVATIONS = ("elu", "relu")
@@ -82,23 +73,47 @@ class BatchNorm:
             running_var=np.ones((1, width)),
         )
 
-    def forward(self, x: T.Tensor) -> T.Tensor:
-        """Training mode: normalize by the batch and update the running
-        statistics."""
-        out, mean, var = T.batchnorm_rows(x, self.gamma, self.beta, BN_EPS)
+    def normalize(self, h: np.ndarray, training: bool) -> tuple:
+        """(output, saved) of (h - mean) * inv * gamma + beta, left to right,
+        inv = 1 / sqrt(var + eps). Eval mode uses the running statistics,
+        works in place on `h` and saves nothing. Training mode uses the
+        batch's mean and biased variance, leaves `h` as it is, updates the
+        running statistics and saves (xhat, inv) for `backward`."""
+        if not training:
+            h -= self.running_mean
+            h *= 1.0 / np.sqrt(self.running_var + BN_EPS)
+            h *= self.gamma.data
+            h += self.beta.data
+            return h, None
+        mean = h.mean(axis=0, keepdims=True)
+        xhat = h - mean
+        sq = xhat * xhat
+        var = np.mean(sq, axis=0, keepdims=True)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv
+        out = np.multiply(xhat, self.gamma.data, out=sq)
+        out += self.beta.data
         m = BN_MOMENTUM
         self.running_mean = (1 - m) * self.running_mean + m * mean
         self.running_var = (1 - m) * self.running_var + m * var
-        return out
+        return out, (xhat, inv)
 
-    def eval_(self, h: np.ndarray) -> np.ndarray:
-        """Eval mode on a plain array, in place:
-        (h - mean) * inv * gamma + beta, left to right, inv = 1 / sqrt(var + eps)."""
-        h -= self.running_mean
-        h *= 1.0 / np.sqrt(self.running_var + BN_EPS)
-        h *= self.gamma.data
-        h += self.beta.data
-        return h
+    def backward(self, g: np.ndarray, saved: tuple) -> np.ndarray:
+        """Training-mode backward from the output gradient `g`, which it
+        overwrites: adds into gamma and beta, returns the gradient at `h`."""
+        xhat, inv = saved
+        tmp = g * xhat
+        if self.gamma.requires_grad:
+            self.gamma._accumulate(tmp.sum(axis=0, keepdims=True), owned=True)
+        if self.beta.requires_grad:
+            self.beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+        g *= self.gamma.data  # dL/dxhat
+        np.multiply(g, xhat, out=tmp)
+        proj = tmp.mean(axis=0, keepdims=True)
+        g -= g.mean(axis=0, keepdims=True)
+        g -= np.multiply(xhat, proj, out=tmp)
+        g *= inv
+        return g
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -142,69 +157,77 @@ class Mlp2:
     def n_in(self) -> int:
         return self.w1.shape[0]
 
-    def forward(self, x: T.Tensor) -> T.Tensor:
-        """Training mode on the rows of `x`, taped."""
-        x = x if isinstance(x, T.Tensor) else T.Tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.n_in:
-            raise DimensionError(
-                f"expected input [*, {self.n_in}], got {x.data.shape}"
-            )
-        return self._rest(T.add(T.matmul(x, self.w1), self.b1))
-
-    def forward_pairs(self, node_h: T.Tensor, idx) -> T.Tensor:
-        """`forward` on the [sender, receiver] rows of every ordered pair of
-        the B*N node rows `node_h` (`idx`: the batch's PairIndex). Layer 1
-        runs per node, [s, r] W1 + b1 = s W1[:F] + (r W1[F:] + b1), then gathers."""
-        half = self.n_in // 2
-        if node_h.data.ndim != 2 or 2 * node_h.data.shape[1] != self.n_in:
-            raise DimensionError(f"expected node input [*, {half}], got {node_h.data.shape}")
-        fan = idx.n_nodes - 1
-        send = T.matmul(node_h, T.rows(self.w1, 0, half))
-        recv = T.add(T.matmul(node_h, T.rows(self.w1, half, 2 * half)), self.b1)
-        send = T.permute_rows(T.repeat_rows(send, fan), idx.sigma, idx.sigma)
-        return self._rest(T.add(send, T.repeat_rows(recv, fan)))
-
-    def _rest(self, pre: T.Tensor) -> T.Tensor:
-        """Everything after layer 1's pre-activation: one fused node, then norm."""
-        h = T.mlp2(pre, self.w2, self.b2, self.activation)
-        if self.bn is not None:
-            h = self.bn.forward(h)
-        T.assert_finite(h.data, "mlp2 output")
-        return h
-
-    def eval_rows(self, x: np.ndarray) -> np.ndarray:
-        """Eval mode on the rows of the plain array `x`; records nothing."""
+    def run_rows(self, x: np.ndarray, training: bool) -> tuple:
+        """(output, saved) on the rows of the plain array `x`; see `_run_rest`."""
         pre = np.matmul(x, self.w1.data)
         pre += self.b1.data
-        return self._eval_rest(pre, None)
+        return self._run_rest(pre, None, training)
 
-    def eval_pairs(self, node_h: np.ndarray, idx, pre: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        """`eval_rows` on the pair rows of `forward_pairs`, written into the
-        caller's buffers `pre` [B*E, hidden] and `out` [B*E, n_out]. The
-        sender half is gathered by `idx.sender_rows`; the receiver half is
-        added over the receiver-major [B*N, N-1, hidden] view."""
+    def run_pairs(self, node_h: np.ndarray, idx, training: bool,
+                  pre: np.ndarray | None = None, out: np.ndarray | None = None) -> tuple:
+        """`run_rows` on the [sender, receiver] rows of every ordered pair of
+        the B*N node rows `node_h` (`idx`: the batch's PairIndex), written
+        into `pre` [B*E, hidden] and `out` [B*E, n_out] (fresh arrays if
+        None). Layer 1 runs per node, [s, r] W1 + b1 = s W1[:F] + (r W1[F:] + b1):
+        the sender half is gathered by `idx.sender_rows`, and the receiver
+        half is added over the receiver-major [B*N, N-1, hidden] view."""
         half = self.n_in // 2
         w1 = self.w1.data
         send = np.matmul(node_h, w1[:half])
         recv = np.matmul(node_h, w1[half:])
         recv += self.b1.data
-        np.take(send, idx.sender_rows, axis=0, out=pre)
+        pre = np.take(send, idx.sender_rows, axis=0, out=pre)
         pre.reshape(len(recv), idx.n_nodes - 1, -1)[...] += recv[:, None, :]
-        return self._eval_rest(pre, out)
+        return self._run_rest(pre, out, training)
 
-    def _eval_rest(self, pre: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """`_rest` on plain arrays: `pre` becomes the hidden activation in
-        place, and the output goes to `out` (a fresh array if None)."""
+    def _run_rest(self, pre: np.ndarray, out: np.ndarray | None, training: bool) -> tuple:
+        """Everything after layer 1's pre-activation: `pre` becomes the
+        hidden activation in place and layer 2's activation goes to `out`
+        (a fresh array if None), then batch norm. Returns the output and
+        what the backward reads: (hidden, layer 2's activation, batch norm's)."""
         act, _ = T._activation(self.activation)
         act(pre, out=pre)
         out = np.matmul(pre, self.w2.data, out=out)
         out += self.b2.data
         act(out, out=out)
+        h, bn_saved = out, None
         if self.bn is not None:
-            self.bn.eval_(out)
-        T.assert_finite(out, "mlp2 output")
-        return out
+            h, bn_saved = self.bn.normalize(out, training)
+        T.assert_finite(h, "perceptron output")
+        return h, (pre, out, bn_saved)
+
+    def backward_rows(self, g: np.ndarray, x: np.ndarray, saved: tuple, x_grad: bool = True):
+        """Backward of `run_rows` in training mode from the output gradient
+        `g`, which it overwrites; returns dL/dx, or None without `x_grad`."""
+        dh = self._backward_rest(g, saved)
+        T._affine_backward(dh, x, self.w1, self.b1)
+        return dh @ self.w1.data.T if x_grad else None
+
+    def backward_pairs(self, g: np.ndarray, node_h: np.ndarray, idx, saved: tuple) -> np.ndarray:
+        """Backward of `run_pairs` in training mode; returns dL/d`node_h`.
+        Each node row's sender and receiver gradients are its N-1 pair
+        rows summed in receiver-major order (the sender's through the
+        transpose map `idx.sigma`)."""
+        dh = self._backward_rest(g, saved)
+        half, rows = self.n_in // 2, len(node_h)
+        g_recv = dh.reshape(rows, idx.n_nodes - 1, -1).sum(axis=1)
+        g_send = dh[idx.sigma].reshape(rows, idx.n_nodes - 1, -1).sum(axis=1)
+        if self.b1.requires_grad:
+            self.b1._accumulate(g_recv.sum(axis=0, keepdims=True), owned=True)
+        if self.w1.requires_grad:
+            self.w1._accumulate(np.concatenate([node_h.T @ g_send, node_h.T @ g_recv]),
+                                owned=True)
+        w1 = self.w1.data
+        return g_send @ w1[:half].T + g_recv @ w1[half:].T
+
+    def _backward_rest(self, g: np.ndarray, saved: tuple) -> np.ndarray:
+        """Backward of `_run_rest`: batch norm, then the perceptron; returns
+        the gradient at layer 1's pre-activation."""
+        hidden, out, bn_saved = saved
+        if self.bn is not None:
+            g = self.bn.backward(g, bn_saved)
+        _, slope = T._activation(self.activation)
+        return T._perceptron_backward(g, hidden, out, self.w2, self.b2, slope)
 
     def parameters(self, prefix: str) -> dict:
         params = {
@@ -232,9 +255,6 @@ class Linear:
     def create(cls, rng: np.random.Generator, n_in: int, n_out: int) -> "Linear":
         w, b = init_linear(rng, n_in, n_out)
         return cls(w, b)
-
-    def forward(self, x: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
 
     def parameters(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

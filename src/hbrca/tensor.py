@@ -13,21 +13,19 @@ Elementwise kernels on pair-sized arrays never select with np.where on a
 data-dependent mask: np.where(z > 0, z, 0.0) took 1.07 ms on a 2880x64
 array where np.maximum(z, 0.0) took 0.11 ms (about 10x; numpy 2.4.6, one
 thread of a 2-vCPU Xeon VM) and gives the same bits, +0.0 at z = -0.0
-included. The perceptron and batch-norm nodes are fused for the same
-reason: each elementwise pass over a pair-sized array, and each fresh
-buffer it allocates, costs about as much as a small GEMM.
+included.
 
-The decoder's transition (`decoder.step_flat`) is a fused node built
-outside this module, on `_node`, `Tensor._accumulate` and the
-array-level perceptron `_perceptron` / `_perceptron_backward` that
-`mlp2` also runs. Every activation goes through `_activation`, which
-looks its kernel up by name at each call, so every ReLU in the program
-runs the one kernel `_relu`.
-
-Evaluation records nothing and needs no op here: the encoder's eval
-pass (`layers.Mlp2.eval_rows` / `eval_pairs`) runs on plain arrays,
-in place, through the same `_activation` kernels, and eval-mode batch
-norm is `layers.BatchNorm.eval_`.
+The two networks of the model are each fused into nodes built outside
+this module, for the same reason: each elementwise pass over a
+pair-sized array, and each fresh buffer it allocates, costs about as
+much as a small GEMM. The encoder's forward (`encoder.encode_logits`) is
+one node per call and the decoder's transition (`decoder.step_flat`)
+one node per step. Both run on plain arrays and are built on `_node`,
+`Tensor._accumulate`, `_perceptron_backward` and `_affine_backward`,
+and every network in both runs `layers.Mlp2.run_rows` (or `run_pairs`).
+Every activation goes through `_activation`, which looks its kernel up
+by name at each call, so every ReLU in the program runs the one kernel
+`_relu`.
 """
 
 from __future__ import annotations
@@ -206,25 +204,6 @@ def mul(a, b) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}"
-        )
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T, owned=True)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g, owned=True)
-
-    return _node(out_data, (a, b), backward)
-
-
 # -- pointwise nonlinearities --------------------------------------------
 
 
@@ -304,46 +283,6 @@ def cols(a, lo: int, hi: int) -> Tensor:
     return _node(out_data.copy(), (a,), backward)
 
 
-def rows(a, lo: int, hi: int) -> Tensor:
-    """Row slice [lo:hi] of a 2-D tensor (a contiguous view, no copy)."""
-    a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[lo:hi] = g
-            a._accumulate(full, owned=True)
-
-    return _node(a.data[lo:hi], (a,), backward)
-
-
-# -- graph gather/scatter ------------------------------------------------
-
-
-def repeat_rows(a, times: int) -> Tensor:
-    """Repeat each row `times` times, keeping blocks contiguous."""
-    a = _wrap(a)
-    out_data = np.repeat(a.data, times, axis=0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape[0], times, -1).sum(axis=1), owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def permute_rows(a, perm: np.ndarray, inv_perm: np.ndarray) -> Tensor:
-    """Row gather by a permutation; backward scatters via the inverse."""
-    a = _wrap(a)
-    out_data = a.data[perm]
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g[inv_perm], owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
 def segment_sum_rows(a, group: int) -> Tensor:
     """Sum contiguous groups of `group` rows (fixed-order reduction)."""
     a = _wrap(a)
@@ -359,7 +298,7 @@ def segment_sum_rows(a, group: int) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-# -- fused perceptron and normalization ---------------------------------
+# -- array-level perceptron for the fused nodes --------------------------
 #
 # Activation kernels take an optional `out` (pass the input to work in
 # place) and never select with np.where. Each slope is read back from the
@@ -402,17 +341,10 @@ def _activation(name: str) -> tuple:
     raise ParameterError(f"unknown activation '{name}'")
 
 
-def _perceptron(pre: np.ndarray, w2: np.ndarray, b2: np.ndarray, act) -> tuple:
-    """(hidden, out) = (act(pre), act(hidden @ w2 + b2)) on plain arrays."""
-    hidden = act(pre)
-    out = hidden @ w2 + b2
-    act(out, out=out)
-    return hidden, out
-
-
 def _perceptron_backward(g, hidden, out, w2: Tensor, b2: Tensor, slope) -> np.ndarray:
-    """Backward of `_perceptron` from its output gradient `g`, which it
-    scales in place: adds into b2 and w2 and returns the gradient at `pre`."""
+    """Backward of (hidden, out) = (act(pre), act(hidden @ w2 + b2)) from
+    the output gradient `g`, which it scales in place: adds into b2 and w2
+    and returns the gradient at `pre`."""
     g *= slope(out)
     if b2.requires_grad:
         b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
@@ -423,61 +355,12 @@ def _perceptron_backward(g, hidden, out, w2: Tensor, b2: Tensor, slope) -> np.nd
     return dh
 
 
-def mlp2(pre, w2, b2, activation: str) -> Tensor:
-    """act(act(pre) @ w2 + b2) as one node, `pre` being layer 1's
-    pre-activation.
-
-    The node keeps the hidden activation and its output, nothing else;
-    the backward works in place on its own gradient buffer. The bias add
-    stays out of place: on 2880x64 rows it measured faster than an
-    in-place broadcast add.
-    """
-    act, slope = _activation(activation)
-    pre, w2, b2 = _wrap(pre), _wrap(w2), _wrap(b2)
-    hidden, out_data = _perceptron(pre.data, w2.data, b2.data, act)
-
-    def backward(g):
-        dh = _perceptron_backward(g, hidden, out_data, w2, b2, slope)
-        if pre.requires_grad:
-            pre._accumulate(dh, owned=True)
-
-    return _node(out_data, (pre, w2, b2), backward)
-
-
-def batchnorm_rows(x, gamma, beta, eps: float):
-    """Row-axis batch normalization as one fused op.
-
-    Normalizes each column of [R, F] by the batch mean and biased
-    variance, then applies the affine pair. Returns (out, mean, var)
-    with mean/var as plain arrays for running-statistic updates.
-    """
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    mean = x.data.mean(axis=0, keepdims=True)
-    xhat = x.data - mean
-    sq = xhat * xhat
-    var = np.mean(sq, axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out_data = np.multiply(xhat, gamma.data, out=sq)
-    out_data += beta.data
-
-    def backward(g):
-        tmp = g * xhat
-        if gamma.requires_grad:
-            gamma._accumulate(tmp.sum(axis=0, keepdims=True), owned=True)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-        if x.requires_grad:
-            g *= gamma.data  # dL/dxhat
-            np.multiply(g, xhat, out=tmp)
-            proj = tmp.mean(axis=0, keepdims=True)
-            g -= g.mean(axis=0, keepdims=True)
-            g -= np.multiply(xhat, proj, out=tmp)
-            g *= inv
-            x._accumulate(g, owned=True)
-
-    out = _node(out_data, (x, gamma, beta), backward)
-    return out, mean, var
+def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None) -> None:
+    """Adds the gradients of x @ w (+ b) under upstream gradient g."""
+    if b is not None and b.requires_grad:
+        b._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+    if w.requires_grad:
+        w._accumulate(x.T @ g, owned=True)
 
 
 # -- softmax --------------------------------------------------------------

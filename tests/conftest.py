@@ -37,9 +37,9 @@ def directional_difference(f, param_data: np.ndarray, direction: np.ndarray,
 class ReluPatterns:
     """Sign pattern of every ReLU input, as evaluated.
 
-    Every ReLU in the program, in `hbrca.tensor.mlp2` and in the decoder's
-    fused step alike, runs the one kernel `hbrca.tensor._relu`, looked up
-    by name at each call. The wrapper records `z > 0` before the kernel
+    Every ReLU in the program (the decoder's message and node networks,
+    inside its fused step) runs the one kernel
+    `hbrca.tensor._relu`, looked up by name at each call. The wrapper records `z > 0` before the kernel
     runs (it may overwrite z in place). Installed with pytest's
     monkeypatch, so the program under test has no hook for it. `take()`
     returns the patterns recorded since the last call, in evaluation order.

@@ -297,6 +297,36 @@ def test_unreadable_corpus_file_gives_exit_3(workdir, fault, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["directory", "not-utf8", "not-json"])
+def test_unreadable_config_file_gives_exit_2(workdir, fault, capsys):
+    if fault == "directory":
+        bad = workdir / "config_dir"
+        bad.mkdir()
+    elif fault == "not-utf8":
+        bad = workdir / "latin1.json"
+        bad.write_bytes(b"{\"schema_version\": 1, \"train\": {\"corpus\": \"\xe9\"}}\n")
+    else:
+        bad = workdir / "truncated.json"
+        bad.write_text('{"schema_version": 1,', encoding="utf-8")
+    assert main(["train", "--config", str(bad), "--out", str(workdir / "o")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_regime_key_outside_the_corpus_gives_exit_3(trained, tmp_path, capsys):
+    """A regime label for a window the file does not hold."""
+    corpus, checkpoint = trained
+    head, rest = open(corpus, encoding="utf-8").read().split("\n", 1)
+    meta = json.loads(head)
+    meta["regimes"]["99999"] = "persist"
+    bad = tmp_path / "corpus.txt"
+    bad.write_text(json.dumps(meta) + "\n" + rest, encoding="utf-8")
+    path = write_config(tmp_path / "c.json", {
+        "schema_version": 1, "rca": {"checkpoint": checkpoint, "corpus": str(bad)}})
+    assert main(["rca", "--config", path, "--out", str(tmp_path / "o"),
+                 "--allow-hash-mismatch"]) == 3
+    assert "99999" in capsys.readouterr().err
+
+
 def test_hash_mismatch_refused_unless_flagged(workdir):
     gen, train_dir, *_ = run_pipeline(workdir)
     other_dir = workdir / "gen2"
@@ -491,8 +521,8 @@ def test_canonical_file_is_hashed_without_serializing(trained, tmp_path, command
     serializes the corpus it predicts, to write predicted.txt)."""
     corpus, checkpoint = trained
     serialized = []
-    real = corpus_mod.serialize
-    monkeypatch.setattr(corpus_mod, "serialize",
+    real = corpus_mod._text_blocks
+    monkeypatch.setattr(corpus_mod, "_text_blocks",
                         lambda c: serialized.append(c.predicted) or real(c))
     path = write_config(tmp_path / "c.json", {
         "schema_version": 1, command: {"checkpoint": checkpoint, "corpus": corpus}})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +22,7 @@ from hbrca.corpus import (
     window,
     window_corpus,
 )
-from hbrca.errors import DegenerateInputError, ParameterError, ParseError
+from hbrca.errors import DataError, DegenerateInputError, ParameterError, ParseError
 from hbrca.training import TrainConfig, train
 
 
@@ -135,6 +136,31 @@ def test_save_load_round_trip(tmp_path):
     assert back.labels.root_cause_nodes == {2}
     assert back.roles == c.roles
     assert corpus_hash(back) == digest
+
+
+def test_piecewise_hashes_match_the_whole_text(tmp_path, monkeypatch):
+    """`save`, `corpus_hash` and `hash_content` hash the text a piece at a
+    time; with pieces far smaller than the text, each gives the SHA-256 of
+    the whole serialized text, and `save` writes exactly that text."""
+    monkeypatch.setattr(corpus_mod, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(corpus_mod, "_HASH_CHARS", 5)
+    c = make_corpus(np.random.default_rng(4).normal(size=(6, 3, 4, 2)))
+    text = serialize(c)
+    whole = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path = tmp_path / "c.txt"
+    assert save(c, path) == whole
+    assert path.read_text(encoding="utf-8") == text
+    assert corpus_hash(c) == whole
+    assert corpus_mod.hash_content(text) == whole
+    other = "Hé,Hé\n" * 3  # two-byte characters on both sides of piece edges
+    assert corpus_mod.hash_content(other) == hashlib.sha256(other.encode("utf-8")).hexdigest()
+
+
+def test_save_of_a_corpus_the_format_cannot_hold_writes_no_file(tmp_path):
+    path = tmp_path / "c.txt"
+    with pytest.raises(DataError):
+        save(make_corpus(np.zeros((1, 1, 2, 4))), path)
+    assert not path.exists()
 
 
 def test_handwritten_two_atom_file_parses_exactly():
@@ -272,6 +298,21 @@ def payload(rows=GOOD_ROWS, meta="", header="sample,atom,t,x,y,z"):
     return HEAD % meta + header + "\n" + rows
 
 
+# (content, line, the key the message names)
+BAD_METADATA_KEYS = [
+    (payload(meta=', "regimes": {"99999": "persist"}'), 1, "99999"),
+    (payload(meta=', "regimes": {"0": "persist", "-1": "separated"}'), 1, "-1"),
+    (payload().replace('"normalization_scale": 1.0', '"normalization_scale": 0'), 1,
+     "normalization_scale"),
+    (payload().replace('"normalization_scale": 1.0', '"normalization_scale": -2.0'), 1,
+     "normalization_scale"),
+    (payload().replace('"normalization_scale": 1.0', '"normalization_scale": "nan"'), 1,
+     "normalization_scale"),
+    (payload().replace('"dt": 1.0', '"dt": -1'), 1, "dt"),
+]
+BAD_METADATA = [(content, line) for content, line, _ in BAD_METADATA_KEYS]
+
+
 def test_table_base_payload_parses():
     c = loads(payload(meta=', "regimes": {"0": "persist"}, "root_cause_nodes": [0]'))
     assert c.positions.ravel().tolist() == [1, 2, 3, 4, 5, 6]
@@ -303,6 +344,9 @@ def test_table_base_payload_parses():
     (payload(meta=', "regimes": ["persist"]'), 1),
     (payload(meta=', "regimes": {"zero": "persist"}'), 1),
     (payload(meta=', "root_cause_nodes": ["0"]'), 1),
+    # regime keys outside the file's windows; scales that make
+    # `denormalize` return zeros, flipped values or NaN
+    *BAD_METADATA,
 ])
 def test_bad_corpus_text_names_its_line(content, line):
     with pytest.raises(ParseError) as err:
@@ -310,17 +354,24 @@ def test_bad_corpus_text_names_its_line(content, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("content,line,key", BAD_METADATA_KEYS)
+def test_bad_metadata_value_names_its_key(content, line, key):
+    with pytest.raises(ParseError) as err:
+        loads(content)
+    assert err.value.line == line and key in str(err.value)
+
+
 def test_train_hashes_the_corpus_once(monkeypatch):
     rng = np.random.default_rng(2)
     c = make_corpus(rng.normal(size=(8, 3, 4, 2)))
     calls = []
-    real = corpus_mod.serialize
+    real = corpus_mod._text_blocks
 
     def counting(corpus):
         calls.append(corpus)
         return real(corpus)
 
-    monkeypatch.setattr(corpus_mod, "serialize", counting)
+    monkeypatch.setattr(corpus_mod, "_text_blocks", counting)
     config = TrainConfig(tau=0.5, lr=1e-3, prior=(0.6, 0.2, 0.2), k=2, epochs=1,
                          batch_size=4, seed=5)
     ckpt = train(config, c)

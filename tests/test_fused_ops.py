@@ -1,25 +1,26 @@
-"""Fused tape nodes and in-place eval paths against the unfused
-composition, bit for bit.
+"""Fused tape nodes and in-place paths against the unfused composition,
+bit for bit.
 
-`tensor.mlp2`, `tensor.batchnorm_rows`, the decoder's `step_flat`, the
-eval-mode batch norm `BatchNorm.eval_` and the encoder's eval pass
-(`encode_logits(training=False)`) each replace a chain of ops. The
+The encoder's forward (`encode_logits`, one node in training) and the
+decoder's `step_flat` each replace a chain of ops, and the eval-mode
+batch norm (`BatchNorm.normalize`) a chain of array expressions. The
 references below are that chain written in plain numpy, with the
 two-branch np.where activations, in the order the unfused ops evaluated
-it. Outputs and every gradient must agree exactly, including at inputs of
-exactly +0.0 and -0.0. The eval paths record nothing, so only their
-outputs are checked.
+it. Outputs, running statistics and every gradient must agree exactly,
+including at inputs of exactly +0.0 and -0.0. Eval mode records nothing,
+so only its outputs are checked.
 """
 
 import numpy as np
 import pytest
 
+from hbrca import layers
 from hbrca import tensor as T
 from hbrca.decoder import DecoderParams, step_flat
 from hbrca.encoder import EncoderParams, encode_logits
 from hbrca.errors import ParameterError
 from hbrca.graph import pair_index
-from hbrca.layers import BN_EPS, BatchNorm
+from hbrca.layers import BN_EPS, BN_MOMENTUM, BatchNorm
 from hbrca.model import _CHUNK, ModelParams, encode_windows
 from hbrca.tensor import Tensor
 
@@ -35,28 +36,37 @@ def _act_ref(name, z):
     return np.where(mask, z, e), np.where(mask, 1.0, e + 1.0)
 
 
-def mlp2_ref(pre, w2, b2, name, g):
+def perceptron_ref(pre, w2, b2, name):
+    """act(act(pre) @ w2 + b2) and its backward: (out, backward(g) -> grads)."""
     h, slope1 = _act_ref(name, pre)
     out, slope2 = _act_ref(name, h @ w2 + b2)
-    dz = g * slope2
-    grads = {"pre": (dz @ w2.T) * slope1, "w2": h.T @ dz,
-             "b2": dz.sum(axis=0, keepdims=True)}
-    return out, grads
+
+    def backward(g):
+        dz = g * slope2
+        return {"pre": (dz @ w2.T) * slope1, "w2": h.T @ dz,
+                "b2": dz.sum(axis=0, keepdims=True)}
+
+    return out, backward
 
 
-def bn_train_ref(x, gamma, beta, eps, g):
+def bn_train_ref(x, gamma, beta, eps):
+    """Batch norm on the batch's mean and biased variance:
+    (out, mean, var, backward(g) -> grads)."""
     mean = x.mean(axis=0, keepdims=True)
     centered = x - mean
     var = np.mean(centered * centered, axis=0, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma + beta
-    dxhat = g * gamma
-    term = dxhat - dxhat.mean(axis=0, keepdims=True)
-    term -= xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
-    grads = {"x": term * inv, "gamma": (g * xhat).sum(axis=0, keepdims=True),
-             "beta": g.sum(axis=0, keepdims=True)}
-    return out, grads
+
+    def backward(g):
+        dxhat = g * gamma
+        term = dxhat - dxhat.mean(axis=0, keepdims=True)
+        term -= xhat * (dxhat * xhat).mean(axis=0, keepdims=True)
+        return {"x": term * inv, "gamma": (g * xhat).sum(axis=0, keepdims=True),
+                "beta": g.sum(axis=0, keepdims=True)}
+
+    return out, mean, var, backward
 
 
 def bn_eval_ref(x, gamma, beta, mean, inv):
@@ -71,33 +81,15 @@ def _with_signed_zeros(a, rng):
     return a
 
 
-def _inputs(rng, rows=37, n_hidden=6, n_out=5):
-    pre = _with_signed_zeros(rng.normal(size=(rows, n_hidden)), rng)
-    w2 = rng.normal(size=(n_hidden, n_out))
-    b2 = rng.normal(size=(1, n_out))
-    # columns 0 and 1 of layer 2's pre-activation are exact zeros
-    w2[:, :2] = 0.0
-    b2[0, 0], b2[0, 1] = 0.0, -0.0
-    return pre, w2, b2
-
-
-def _run(op, arrays, g):
-    """Output and per-input gradients of op(*tensors) under upstream grad g."""
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = op(*tensors)
-    T.tsum(T.mul(out, g)).backward()
-    return out.data, [t.grad for t in tensors]
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_signed_zero_inputs_are_present(rng):
-    pre, _, _ = _inputs(rng)
-    assert np.any((pre == 0.0) & np.signbit(pre))
-    assert np.any((pre == 0.0) & ~np.signbit(pre))
+    a = _with_signed_zeros(rng.normal(size=(37, 6)), rng)
+    assert np.any((a == 0.0) & np.signbit(a))
+    assert np.any((a == 0.0) & ~np.signbit(a))
 
 
 @pytest.mark.parametrize("name", ACTIVATIONS)
@@ -113,51 +105,6 @@ def test_activation_kernels_match_where_form_bitwise(name):
     assert _same_bits(in_place, ref_out)
 
 
-@pytest.mark.parametrize("name", ACTIVATIONS)
-def test_mlp2_matches_unfused_composition_bitwise(name, rng):
-    pre, w2, b2 = _inputs(rng)
-    g = rng.normal(size=(pre.shape[0], w2.shape[1]))
-    ref_out, ref_grads = mlp2_ref(pre, w2, b2, name, g)
-    out, (g_pre, g_w2, g_b2) = _run(lambda p, w, b: T.mlp2(p, w, b, name), (pre, w2, b2), g)
-    assert _same_bits(out, ref_out)
-    assert _same_bits(g_pre, ref_grads["pre"])
-    assert _same_bits(g_w2, ref_grads["w2"])
-    assert _same_bits(g_b2, ref_grads["b2"])
-
-
-@pytest.mark.parametrize("name", ACTIVATIONS)
-def test_mlp2_gradients_accumulate_over_shared_inputs(name, rng):
-    """Two consumers of one output, and `pre` used twice: the in-place
-    backward must not disturb either sum."""
-    pre, w2, b2 = _inputs(rng)
-    g1 = rng.normal(size=(pre.shape[0], w2.shape[1]))
-    g2 = rng.normal(size=g1.shape)
-    _, ref1 = mlp2_ref(pre, w2, b2, name, g1 + g2)
-    p, w, b = (Tensor(a.copy(), requires_grad=True) for a in (pre, w2, b2))
-    out = T.mlp2(p, w, b, name)
-    loss = T.add(T.tsum(T.mul(out, g1)), T.tsum(T.mul(out, g2)))
-    loss = T.add(loss, T.tsum(p))
-    loss.backward()
-    assert _same_bits(w.grad, ref1["w2"])
-    assert _same_bits(b.grad, ref1["b2"])
-    assert _same_bits(p.grad, ref1["pre"] + 1.0)
-
-
-def test_batchnorm_rows_matches_unfused_composition_bitwise(rng):
-    x = _with_signed_zeros(rng.normal(loc=0.3, size=(41, 5)), rng)
-    gamma = rng.normal(size=(1, 5))
-    beta = rng.normal(size=(1, 5))
-    g = rng.normal(size=x.shape)
-    ref_out, ref_grads = bn_train_ref(x, gamma, beta, 1e-5, g)
-    out, (g_x, g_gamma, g_beta) = _run(
-        lambda a, c, d: T.batchnorm_rows(a, c, d, 1e-5)[0], (x, gamma, beta), g
-    )
-    assert _same_bits(out, ref_out)
-    assert _same_bits(g_x, ref_grads["x"])
-    assert _same_bits(g_gamma, ref_grads["gamma"])
-    assert _same_bits(g_beta, ref_grads["beta"])
-
-
 def test_batchnorm_eval_matches_unfused_composition_bitwise(rng):
     x = _with_signed_zeros(rng.normal(loc=0.3, size=(41, 5)), rng)
     bn = BatchNorm.create(5)
@@ -168,37 +115,14 @@ def test_batchnorm_eval_matches_unfused_composition_bitwise(rng):
     inv = 1.0 / np.sqrt(bn.running_var + BN_EPS)
     expect = bn_eval_ref(x, bn.gamma.data, bn.beta.data, bn.running_mean, inv)
     h = x.copy()
-    assert bn.eval_(h) is h
+    out, saved = bn.normalize(h, training=False)
+    assert out is h and saved is None
     assert _same_bits(h, expect)
 
 
-def _no_grad_cases(rng):
-    pre, w2, b2 = _inputs(rng)
-    x = rng.normal(size=(23, 5))
-    gamma, beta = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-    cases = [(lambda p, w, b, n=name: T.mlp2(p, w, b, n), (pre, w2, b2)) for name in ACTIVATIONS]
-    cases.append((lambda a, c, d: T.batchnorm_rows(a, c, d, 1e-5)[0], (x, gamma, beta)))
-    return cases
-
-
-def test_no_grad_records_nothing_and_gives_the_same_bits(rng):
-    for op, arrays in _no_grad_cases(rng):
-        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        recorded = op(*tensors)
-        with T.no_grad():
-            bare = op(*tensors)
-        assert recorded._parents and recorded._backward is not None
-        assert bare._parents == () and bare._backward is None
-        assert not bare.requires_grad
-        assert _same_bits(bare.data, recorded.data)
-        for t, a in zip(tensors, arrays):
-            assert _same_bits(t.data, a)  # inputs untouched
-
-
-def test_mlp2_rejects_unknown_activation(rng):
-    pre, w2, b2 = _inputs(rng)
+def test_unknown_activation_is_rejected():
     with pytest.raises(ParameterError):
-        T.mlp2(Tensor(pre), Tensor(w2), Tensor(b2), "tanh")
+        T._activation("tanh")
 
 
 # -- the encoder's eval pass -------------------------------------------------------
@@ -268,6 +192,160 @@ def test_encode_windows_chunks_match_unfused_composition_bitwise(rng):
     for lo in (0, _CHUNK):
         expect = encoder_eval_ref(model.encoder, windows[lo:lo + _CHUNK])
         assert _same_bits(logits[lo:lo + _CHUNK].reshape(-1, 3), expect)
+
+
+# -- the encoder's training node ---------------------------------------------------
+
+
+def encoder_train_ref(p, windows):
+    """Training-mode logits as the taped ops composed them, and that chain's
+    backward: (logits, {network: (batch mean, biased variance)},
+    backward(g) -> gradients by parameter name). `p` maps the encoder's
+    parameter names, without the "enc." prefix, to arrays. Layer 1 runs
+    per node; the sender half is repeated and gathered by the transpose
+    map, and its backward gathers by the same map and sums each node's
+    N-1 rows; each half of a pair network's w1 gets a zero-padded
+    gradient, and the two are added."""
+    b, n, t, d = windows.shape
+    idx = pair_index(n, b)
+    rows, group = b * n, n - 1
+    stats = {}
+
+    def net(name, pre):
+        h, back_mlp = perceptron_ref(pre, p[f"{name}.w2"], p[f"{name}.b2"], "elu")
+        out, mean, var, back_bn = bn_train_ref(h, p[f"{name}.bn.gamma"],
+                                               p[f"{name}.bn.beta"], BN_EPS)
+        stats[name] = (mean, var)
+
+        def backward(g, grads):
+            g_bn = back_bn(g)
+            grads[f"{name}.bn.gamma"], grads[f"{name}.bn.beta"] = g_bn["gamma"], g_bn["beta"]
+            g_mlp = back_mlp(g_bn["x"])
+            grads[f"{name}.w2"], grads[f"{name}.b2"] = g_mlp["w2"], g_mlp["b2"]
+            return g_mlp["pre"]
+
+        return out, backward
+
+    def node_net(name, x):
+        w1 = p[f"{name}.w1"]
+        out, back = net(name, x @ w1 + p[f"{name}.b1"])
+
+        def backward(g, grads):
+            g_pre = back(g, grads)
+            grads[f"{name}.b1"] = g_pre.sum(axis=0, keepdims=True)
+            grads[f"{name}.w1"] = x.T @ g_pre
+            return g_pre @ w1.T
+
+        return out, backward
+
+    def pair_net(name, node_h):
+        w1, half = p[f"{name}.w1"], node_h.shape[1]
+        send = np.repeat(node_h @ w1[:half], group, axis=0)[idx.sigma]
+        recv = np.repeat(node_h @ w1[half:] + p[f"{name}.b1"], group, axis=0)
+        out, back = net(name, send + recv)
+
+        def backward(g, grads):
+            g_pre = back(g, grads)
+            g_send = g_pre[idx.sigma].reshape(rows, group, -1).sum(axis=1)
+            g_recv = g_pre.reshape(rows, group, -1).sum(axis=1)
+            grads[f"{name}.b1"] = g_recv.sum(axis=0, keepdims=True)
+            w_send, w_recv = np.zeros_like(w1), np.zeros_like(w1)
+            w_send[:half] = node_h.T @ g_send
+            w_recv[half:] = node_h.T @ g_recv
+            grads[f"{name}.w1"] = w_send + w_recv
+            return g_send @ w1[:half].T + g_recv @ w1[half:].T
+
+        return out, backward
+
+    x = windows.reshape(rows, t * d)
+    node_h, back_embed = node_net("embed", x)
+    edge_h, back_edge1 = pair_net("edge1", node_h)
+    node_h2, back_node1 = node_net("node1", edge_h.reshape(rows, group, -1).sum(axis=1))
+    edge_h2, back_edge2 = pair_net("edge2", node_h2)
+    logits = edge_h2 @ p["out.w"] + p["out.b"]
+
+    def backward(g):
+        grads = {"out.b": g.sum(axis=0, keepdims=True), "out.w": edge_h2.T @ g}
+        g_agg = back_node1(back_edge2(g @ p["out.w"].T, grads), grads)
+        back_embed(back_edge1(np.repeat(g_agg, group, axis=0), grads), grads)
+        return grads
+
+    return logits, stats, backward
+
+
+def _training_case(rng, n, batch, t=3, d=2):
+    """A random encoder with exact zeros at two ELU inputs, and windows
+    with signed zeros."""
+    params = _encoder(rng, t * d, hidden=16)
+    # embed's layer 1 and edge2's layer 2 each give a column of +0.0
+    params.embed.w1.data[:, 0] = 0.0
+    params.embed.b1.data[0, 0] = -0.0
+    params.edge2.w2.data[:, 1] = 0.0
+    params.edge2.b2.data[0, 1] = 0.0
+    windows = _with_signed_zeros(rng.normal(size=(batch, n, t, d)), rng)
+    return params, windows
+
+
+@pytest.mark.parametrize("n,batch", [(2, 3), (5, 7)], ids=["N2", "N5"])
+def test_encoder_training_node_matches_unfused_chain_bitwise(n, batch, rng):
+    """The logits, the 8 running buffers after the call and all 26
+    parameter gradients. The logits have two consumers, so the node's
+    upstream gradient is a sum, as in the loss."""
+    params, windows = _training_case(rng, n, batch)
+    p = {k.removeprefix("enc."): t.data.copy() for k, t in params.parameters().items()}
+    buffers = {k: v.copy() for k, v in params.buffers().items()}
+    ref_logits, stats, ref_backward = encoder_train_ref(p, windows)
+    g1, g2 = (rng.normal(size=ref_logits.shape) for _ in range(2))
+    expect = ref_backward(g1 + g2)
+
+    logits = encode_logits(params, windows, training=True)
+    assert logits._parents == tuple(params.parameters().values())
+    T.add(T.tsum(T.mul(logits, g1)), T.tsum(T.mul(logits, g2))).backward()
+
+    assert _same_bits(logits.data, ref_logits)
+    m = BN_MOMENTUM
+    for key, got in params.buffers().items():
+        name, stat = key.removeprefix("enc.").split(".bn.")
+        batch_stat = stats[name][0 if stat == "running_mean" else 1]
+        assert _same_bits(got, (1 - m) * buffers[key] + m * batch_stat), key
+    got = {k.removeprefix("enc."): t.grad for k, t in params.parameters().items()}
+    assert len(got) == 26 and len(params.buffers()) == 8
+    assert set(got) == set(expect)
+    for name, ref in expect.items():
+        assert _same_bits(got[name], ref), name
+
+
+def test_encoder_training_with_batch_statistics_matches_eval_bitwise(rng, monkeypatch):
+    """With momentum 1 a training call leaves each network's batch mean and
+    biased variance in its running buffers; eval mode then gives the
+    training logits bit for bit."""
+    params, windows = _training_case(rng, n=5, batch=7)
+    monkeypatch.setattr(layers, "BN_MOMENTUM", 1.0)
+    training = encode_logits(params, windows, training=True)
+    _, stats, _ = encoder_train_ref(
+        {k.removeprefix("enc."): t.data for k, t in params.parameters().items()}, windows)
+    for name, (mean, var) in stats.items():
+        bn = getattr(params, name).bn
+        assert _same_bits(bn.running_mean, mean) and _same_bits(bn.running_var, var)
+    evaluated = encode_logits(params, windows, training=False)
+    assert _same_bits(evaluated.data, training.data)
+
+
+def test_encoder_training_no_grad_gives_the_same_bits_and_records_nothing(rng):
+    """The running statistics move on in both: no_grad only stops recording."""
+    params, windows = _training_case(rng, n=4, batch=3)
+    before = {k: v.copy() for k, v in params.buffers().items()}
+    recorded = encode_logits(params, windows, training=True)
+    after = {k: v.copy() for k, v in params.buffers().items()}
+    for key, buf in params.buffers().items():
+        buf[...] = before[key]
+    with T.no_grad():
+        bare = encode_logits(params, windows, training=True)
+    assert recorded._parents and recorded._backward is not None
+    assert bare._parents == () and bare._backward is None and not bare.requires_grad
+    assert _same_bits(bare.data, recorded.data)
+    assert all(_same_bits(v, after[k]) for k, v in params.buffers().items())
+    assert not all(_same_bits(v, before[k]) for k, v in after.items())
 
 
 # -- the decoder transition -------------------------------------------------------

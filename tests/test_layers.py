@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbrca import tensor as T
-from hbrca.errors import DimensionError, NumericalError, ParameterError
+from hbrca.errors import NumericalError, ParameterError
 from hbrca.layers import (
     BN_EPS,
     AdamState,
@@ -39,14 +39,14 @@ def scalar_elu(v):
 
 def test_zero_mlp_maps_to_zero():
     m = make_mlp(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-    y = m.forward(Tensor(np.random.default_rng(0).normal(size=(4, 3))))
-    assert np.array_equal(y.data, np.zeros((4, 2)))
+    y, _ = m.run_rows(np.random.default_rng(0).normal(size=(4, 3)), training=False)
+    assert np.array_equal(y, np.zeros((4, 2)))
 
 
 def test_relu_identity_clips_negative():
     m = make_mlp([[1.0]], [0.0], [[1.0]], [0.0], activation="relu")
-    y = m.forward(Tensor([[-2.0]]))
-    assert y.data[0, 0] == 0.0
+    y, _ = m.run_rows(np.array([[-2.0]]), training=False)
+    assert y[0, 0] == 0.0
 
 
 def test_two_unit_elu_matches_scalar_unroll():
@@ -57,7 +57,7 @@ def test_two_unit_elu_matches_scalar_unroll():
     b2 = [-0.3, 0.05]
     x = [0.4, -1.2]
     m = make_mlp(w1, b1, w2, b2, activation="elu")
-    y = m.forward(Tensor([x])).data[0]
+    y = m.run_rows(np.array([x]), training=False)[0][0]
 
     h = [scalar_elu(x[0] * w1[0][j] + x[1] * w1[1][j] + b1[j]) for j in range(2)]
     o = [scalar_elu(h[0] * w2[0][j] + h[1] * w2[1][j] + b2[j]) for j in range(2)]
@@ -65,40 +65,35 @@ def test_two_unit_elu_matches_scalar_unroll():
     assert abs(y[1] - o[1]) < 1e-12
 
 
-def test_mlp_rejects_bad_width():
-    m = make_mlp(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
-    with pytest.raises(DimensionError):
-        m.forward(Tensor(np.zeros((4, 5))))
-
-
 def test_mlp_gradients_match_finite_differences(rng):
+    """Training mode, loss sum(out^2): `backward_rows` against central
+    differences for every parameter and for the input rows."""
     m = Mlp2.create(rng, 3, 4, 2, "elu", batch_norm=True)
     x = rng.normal(size=(6, 3))
     params = m.parameters("m")
+    bn_mean, bn_var = m.bn.running_mean, m.bn.running_var
 
-    def loss_value():
-        bn_mean = m.bn.running_mean.copy()
-        bn_var = m.bn.running_var.copy()
-        out = float(T.tsum(T.square(m.forward(Tensor(x)))).data)
-        m.bn.running_mean[...] = bn_mean  # keep the probe side-effect free
-        m.bn.running_var[...] = bn_var
+    def loss_value(x=x):
+        out = float(np.sum(m.run_rows(x, training=True)[0] ** 2))
+        m.bn.running_mean, m.bn.running_var = bn_mean, bn_var  # side-effect free
         return out
 
-    loss = T.tsum(T.square(m.forward(Tensor(x))))
-    for p in params.values():
-        p.zero_grad()
-    loss.backward()
+    out, saved = m.run_rows(x, training=True)
+    m.bn.running_mean, m.bn.running_var = bn_mean, bn_var
+    g_x = m.backward_rows(2.0 * out, x, saved)
     for name, p in params.items():
         fd = central_difference(lambda a: loss_value(), p.data)
         assert np.max(np.abs(p.grad - fd)) < 1e-5, name
+    fd = central_difference(lambda a: loss_value(a), x.copy())
+    assert np.max(np.abs(g_x - fd)) < 1e-5
 
 
 def test_batchnorm_eval_uses_running_stats(rng):
     bn = BatchNorm.create(3)
     x = rng.normal(loc=2.0, size=(50, 3))
-    y_train = bn.forward(Tensor(x))
-    assert abs(float(y_train.data.mean())) < 1e-9  # batch stats center the output
-    y_eval = bn.eval_(x.copy())
+    y_train, _ = bn.normalize(x, training=True)
+    assert abs(float(y_train.mean())) < 1e-9  # batch stats center the output
+    y_eval, _ = bn.normalize(x.copy(), training=False)
     expect = (x - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     assert np.allclose(y_eval, expect)
 
