@@ -30,7 +30,7 @@ from .rca import (
     wasserstein2_gaussian,
 )
 from .springs import HbCriterion, ScmSpec, label_hb_events, simulate
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .training import Checkpoint, TrainConfig, loss_kl, loss_reconstruction, loss_sparsity, train
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "Tensor", "TrainConfig", "TrajectoryCorpus", "adam_step", "denormalize",
     "encode", "expectation_distance", "gaussian_kl", "gumbel_softmax",
     "label_hb_events", "loss_kl", "loss_reconstruction", "loss_sparsity",
-    "no_grad", "node_scores", "normalize", "predict_corpus", "ranking_accuracy",
-    "rollout", "run_rca", "sample_edges", "simulate", "step", "train", "window",
-    "window_corpus",
+    "node_scores", "normalize", "predict_corpus", "ranking_accuracy", "rollout",
+    "run_rca", "sample_edges", "simulate", "step", "train", "window", "window_corpus",
 ]

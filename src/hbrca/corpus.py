@@ -390,17 +390,25 @@ def loads(content: str) -> TrajectoryCorpus:
                 regimes[int(k)] = v
             labels = RegimeLabels(
                 regimes=regimes,
-                root_cause_nodes=set(meta.get("root_cause_nodes", [])),
+                root_cause_nodes={check_number("root_cause_nodes", i, integer=True)
+                                  for i in meta.get("root_cause_nodes", [])},
                 boundary_step=meta.get("boundary_step"),
             )
+            if labels.boundary_step is not None:
+                check_number("boundary_step", labels.boundary_step, integer=True, minimum=0)
             bad = [i for i in labels.root_cause_nodes if not 0 <= i < n_atoms]
             if bad:
                 raise ParseError(f"root cause nodes out of range: {bad}", line=1)
-        names = [str(n) for n in meta["atom_names"]]
+        names = meta["atom_names"]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError(f"atom_names must be a list of strings, got {names!r}", line=1)
         if len(names) != n_atoms:
             raise ParseError("atom_names length does not match n_atoms", line=1)
         dt, scale = (float(check_number(key, meta[key], minimum=0, above=True))
                      for key in ("dt", "normalization_scale"))
+        predicted = meta.get("predicted", False)
+        if not isinstance(predicted, bool):
+            raise ParseError(f"predicted must be a JSON boolean, got {predicted!r}", line=1)
     except ParameterError as exc:
         raise ParseError(str(exc), line=1)
     except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
@@ -412,7 +420,7 @@ def loads(content: str) -> TrajectoryCorpus:
         normalization_scale=scale,
         labels=labels,
         roles=meta.get("roles"),
-        predicted=bool(meta.get("predicted", False)),
+        predicted=predicted,
     )
 
 

@@ -15,14 +15,17 @@ network's hidden output. The bias term depends on the edges alone and
 is built once per rollout (`edge_terms`). Results match the per-pair
 form up to rounding in the last bits.
 
-A transition (`step_flat`) is one tape node. Its forward runs on plain
-arrays: the [sender, receiver] pair rows, both message networks, the
-edge-type weighting and per-receiver sums, the two message heads, the
-node network, the output head and the residual. It keeps only what its
-backward reads: the pair rows, each network's hidden and output
-activations, the per-receiver sums and the aggregate. Each network runs
-`Mlp2.run_rows` and `Mlp2.backward_rows`, the same code as the
-encoder's networks.
+A transition has one forward (`_forward`) on plain arrays: the
+[sender, receiver] pair rows, both message networks, the edge-type
+weighting and per-receiver sums, the two message heads, the node
+network, the output head and the residual. Evaluation (`step`,
+`rollout`, `rollout_eval`) runs it directly and never touches the tape.
+Training records it as one tape node per step (`step_flat`), which
+keeps only what its backward reads: the pair rows, each network's
+hidden and output activations, the per-receiver sums and the aggregate.
+Each network runs `Mlp2.run_rows` and `Mlp2.backward_rows`, the same
+code as the encoder's networks. Both rollouts follow one k-step
+schedule (`_schedule`).
 
 The backward is the op-by-op chain's backward written out. It adds into
 each gradient with the same expressions, in the same order:
@@ -101,13 +104,36 @@ class DecoderParams:
         return {}
 
 
-def edge_terms(params: DecoderParams, edge_onehots: T.Tensor, idx: PairIndex) -> tuple:
-    """The rollout-fixed inputs of `step_flat`: the hb and sep edge columns
-    [B*E, 1] and the summed head biases [B*N, msg_dim]."""
+def edge_terms(edge_onehots, b_hb, b_sep, idx: PairIndex) -> tuple:
+    """The rollout-fixed inputs of a transition: the hb and sep edge columns
+    [B*E, 1] and the summed head biases [B*N, msg_dim] (`b_hb`, `b_sep`:
+    the message heads' biases). Training passes the bias Tensors, so the
+    terms are on the tape; evaluation passes their arrays, and nothing
+    records."""
     a_hb, a_sep = T.cols(edge_onehots, 1, 2), T.cols(edge_onehots, 2, 3)
     deg_hb, deg_sep = (T.segment_sum_rows(a, idx.n_nodes - 1) for a in (a_hb, a_sep))
-    bias = T.add(T.mul(deg_hb, params.msg_hb_head.b), T.mul(deg_sep, params.msg_sep_head.b))
+    bias = T.add(T.mul(deg_hb, b_hb), T.mul(deg_sep, b_sep))
     return a_hb, a_sep, bias
+
+
+def _forward(params: DecoderParams, positions: np.ndarray, a_hb: np.ndarray,
+             a_sep: np.ndarray, bias: np.ndarray, idx: PairIndex) -> tuple:
+    """One transition on plain arrays, [B*N, D] -> [B*N, D], from the
+    arrays of `edge_terms`; returns the next positions and what the
+    backward of `step_flat` reads."""
+    group = idx.n_nodes - 1
+    recv = np.repeat(positions, group, axis=0)
+    pair = np.concatenate([recv[idx.sigma], recv], axis=1)
+    # the decoder's networks have no batch norm, so `training` changes nothing
+    msgs = [net.run_rows(pair, training=True) for net in (params.msg_hb, params.msg_sep)]
+    summed = [(out * a).reshape(-1, group, out.shape[1]).sum(axis=1)
+              for (out, _), a in zip(msgs, (a_hb, a_sep))]
+    agg = summed[0] @ params.msg_hb_head.w.data
+    agg = agg + summed[1] @ params.msg_sep_head.w.data
+    agg = agg + bias
+    node_out, node_saved = params.node.run_rows(agg, training=True)
+    out = positions + (node_out @ params.out_head.w.data + params.out_head.b.data)
+    return out, (pair, msgs, summed, agg, node_out, node_saved)
 
 
 def step_flat(
@@ -116,39 +142,27 @@ def step_flat(
     terms: tuple,
     idx: PairIndex,
 ) -> T.Tensor:
-    """One transition on flattened rows: [B*N, D] -> [B*N, D]; `terms` from
-    `edge_terms`. One tape node; see the module docstring."""
+    """`_forward` as one tape node (training); `terms` from `edge_terms`."""
     a_hb, a_sep, bias = terms
     group = idx.n_nodes - 1
     nets = (params.msg_hb, params.msg_sep)
     heads = (params.msg_hb_head, params.msg_sep_head)
     weights = (a_hb, a_sep)
-    recv = np.repeat(positions.data, group, axis=0)
-    pair = np.concatenate([recv[idx.sigma], recv], axis=1)
-    # the decoder's networks have no batch norm, so `training` changes nothing
-    msgs = [net.run_rows(pair, training=True) for net in nets]
-    summed = [(out * a.data).reshape(-1, group, out.shape[1]).sum(axis=1)
-              for (out, _), a in zip(msgs, weights)]
-    agg = summed[0] @ heads[0].w.data
-    agg = agg + summed[1] @ heads[1].w.data
-    agg = agg + bias.data
-    node_out, node_saved = params.node.run_rows(agg, training=True)
+    out_data, (pair, msgs, summed, agg, node_out, node_saved) = _forward(
+        params, positions.data, a_hb.data, a_sep.data, bias.data, idx)
     out_w, out_b = params.out_head.w, params.out_head.b
-    out_data = positions.data + (node_out @ out_w.data + out_b.data)
 
     def backward(g):
         if positions.requires_grad:
             positions._accumulate(g)
         T._affine_backward(g, node_out, out_w, out_b)
         g_agg = params.node.backward_rows(g @ out_w.data.T, agg, node_saved)
-        if bias.requires_grad:
-            bias._accumulate(g_agg)
+        bias._accumulate(g_agg)
         g_pair = None
         for net, head, a, (out, saved), h in zip(nets, heads, weights, msgs, summed):
             T._affine_backward(g_agg, h, head.w, None)
             g_rows = np.repeat(g_agg @ head.w.data.T, group, axis=0)
-            if a.requires_grad:
-                a._accumulate((g_rows * out).sum(axis=1, keepdims=True), owned=True)
+            a._accumulate((g_rows * out).sum(axis=1, keepdims=True), owned=True)
             g_rows *= a.data
             d_pair = net.backward_rows(g_rows, pair, saved, positions.requires_grad)
             if g_pair is None:
@@ -178,40 +192,20 @@ def step(params: DecoderParams, r_t: np.ndarray, edges: np.ndarray) -> np.ndarra
     n = r_t.shape[0]
     if edges.shape != (n, n, 3):
         raise DimensionError(f"expected [N, N, 3] edges, got {edges.shape}")
-    idx = pair_index(n)
-    flat_edges = idx.from_matrix(edges)
-    with T.no_grad():
-        mu = step_flat(params, T.Tensor(r_t), edge_terms(params, T.Tensor(flat_edges), idx), idx)
-    T.assert_finite(mu.data, "decoder step")
-    return mu.data
+    return rollout(params, r_t, edges, 1, n_steps=1)[:, 0]
 
 
-def _rollout(
-    params: DecoderParams,
-    windows: np.ndarray,
-    edge_onehots: T.Tensor,
-    k: int,
-    idx: PairIndex,
-):
-    """Yields the T-1 predicted rows [B*N, D] of a window batch in time order.
+def _schedule(windows: np.ndarray, k: int):
+    """The k-step schedule over a window batch: for each of the T-1
+    transitions in time order, the ground-truth rows [B*N, D] it starts
+    from, or None where it starts from the previous prediction.
 
-    Feeds its own mean prediction for k consecutive steps, then resets
-    to the ground-truth step, repeating until the window is exhausted;
-    k = T-1 never resets, which is the pure self-rollout.
+    The truth enters at the first step and then after every k
+    predictions; k >= T-1 never resets, which is the pure self-rollout.
     """
     b, n, t, d = windows.shape
-    terms = edge_terms(params, edge_onehots, idx)
-    current = T.Tensor(windows[:, :, 0, :].reshape(b * n, d))
-    since_reset = 0
-    for step_i in range(1, t):
-        mu = step_flat(params, current, terms, idx)
-        yield mu
-        since_reset += 1
-        if since_reset >= k and step_i < t - 1:
-            current = T.Tensor(windows[:, :, step_i, :].reshape(b * n, d))
-            since_reset = 0
-        else:
-            current = mu
+    for step_i in range(t - 1):
+        yield windows[:, :, step_i, :].reshape(b * n, d) if step_i % k == 0 else None
 
 
 def rollout_train(
@@ -222,10 +216,30 @@ def rollout_train(
     idx: PairIndex,
 ) -> list:
     """Differentiable k-step scheduled rollout over a window batch
-    (`_rollout`); returns the T-1 predicted rows [B*N, D] in time order."""
+    (`_schedule`, one `step_flat` node per transition); returns the T-1
+    predicted rows [B*N, D] in time order."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    return list(_rollout(params, windows, edge_onehots, k, idx))
+    terms = edge_terms(edge_onehots, params.msg_hb_head.b, params.msg_sep_head.b, idx)
+    preds = []
+    for truth in _schedule(windows, k):
+        current = preds[-1] if truth is None else T.Tensor(truth)
+        preds.append(step_flat(params, current, terms, idx))
+    return preds
+
+
+def _rollout_arrays(params: DecoderParams, windows: np.ndarray, edge_onehots: np.ndarray,
+                    k: int, idx: PairIndex):
+    """`rollout_train`'s schedule on plain arrays (`_forward`); yields the
+    T-1 predicted rows [B*N, D] in time order."""
+    b_hb, b_sep = params.msg_hb_head.b.data, params.msg_sep_head.b.data
+    terms = [term.data for term in edge_terms(edge_onehots, b_hb, b_sep, idx)]
+    mu = None
+    for truth in _schedule(windows, k):
+        # keep only the positions: holding a step's activations through the
+        # next step made predict-long's eval rollout about 10 % slower
+        mu = _forward(params, mu if truth is None else truth, *terms, idx)[0]
+        yield mu
 
 
 def rollout_eval(
@@ -237,10 +251,8 @@ def rollout_eval(
     """Pure self-rollout from the first step; returns [B, N, T-1, D]."""
     b, n, t, d = windows.shape
     preds = np.empty((t - 1, b * n, d))
-    steps = _rollout(params, windows, T.Tensor(edge_onehots), t - 1, idx)
-    with T.no_grad():
-        for step_i, mu in enumerate(steps):
-            preds[step_i] = mu.data
+    for step_i, mu in enumerate(_rollout_arrays(params, windows, edge_onehots, t - 1, idx)):
+        preds[step_i] = mu
     T.assert_finite(preds, "decoder rollout")
     return preds.transpose(1, 0, 2).reshape(b, n, t - 1, d)
 
@@ -271,9 +283,5 @@ def rollout(
         fake = np.zeros((1, n, n_steps + 1, d))
         fake[:, :, 0, :] = r_1
         return rollout_eval(params, fake, flat_edges, idx)[0]
-    windows = teacher[None, ...]
-    with T.no_grad():
-        preds = rollout_train(params, windows, T.Tensor(flat_edges), k, idx)
-    t = teacher.shape[1]
-    out = np.stack([p.data for p in preds], axis=1).reshape(n, t - 1, -1)
-    return out
+    preds = list(_rollout_arrays(params, teacher[None, ...], flat_edges, k, idx))
+    return np.stack(preds, axis=1).reshape(n, teacher.shape[1] - 1, -1)

@@ -18,9 +18,10 @@ up to rounding in the last bits.
 `encode_logits` has one forward pass (`_forward`) on plain arrays for
 both modes. Eval mode normalizes with the running statistics, in place,
 and both pair networks write into the same two pair-sized buffers,
-allocated once per call. Training mode normalizes with the batch's
-statistics and updates the running ones; each network gets fresh
-buffers, because the backward reads them.
+allocated once per call; it returns the logits array and never touches
+the tape. Training mode normalizes with the batch's statistics and
+updates the running ones; each network gets fresh buffers, because the
+backward reads them.
 
 In training the logits are one tape node whose parents are the 26
 encoder parameters. It keeps only what its backward reads: each
@@ -118,11 +119,11 @@ class EncoderParams:
 
 def encode_logits(
     params: EncoderParams, windows: np.ndarray, training: bool = False
-) -> T.Tensor:
+) -> T.Tensor | np.ndarray:
     """Edge-type logits [B*E, 3] for a batch of [B, N, T, D] windows.
 
     Training mode normalizes by the batch and returns one tape node; eval
-    mode uses the running statistics and returns a Tensor off the tape."""
+    mode uses the running statistics and returns the plain array."""
     if windows.ndim != 4:
         raise DimensionError(f"expected [B, N, T, D], got shape {windows.shape}")
     b, n, t, d = windows.shape
@@ -135,7 +136,7 @@ def encode_logits(
     x = windows.reshape(b * n, t * d)
     logits, saved = _forward(params, x, idx, training)
     if not training:
-        return T.Tensor(logits)
+        return logits
     node_h, s_embed, s_edge1, agg, s_node1, node_h2, s_edge2, edge_h2 = saved
     out = params.out
 
@@ -173,8 +174,7 @@ def encode(params: EncoderParams, sample: np.ndarray) -> EdgePosterior:
     if sample.ndim != 3:
         raise DimensionError(f"expected [N, T, D], got shape {sample.shape}")
     logits = encode_logits(params, sample[None, ...], training=False)
-    probs = T.softmax_rows(logits)
-    return EdgePosterior.from_flat(probs.data, logits.data, sample.shape[0])
+    return EdgePosterior.from_flat(T._softmax(logits), logits, sample.shape[0])
 
 
 def sample_edges(
@@ -193,9 +193,7 @@ def sample_edges(
     idx = pair_index(n)
     flat_logits = idx.from_matrix(posterior.logits)
     if mode == CONCRETE:
-        with T.no_grad():
-            y = gumbel_softmax(flat_logits, tau, rng, hard=False)
-        flat = y.data
+        flat = gumbel_softmax(flat_logits, tau, rng, hard=False).data
     elif mode == CATEGORICAL_HARD:
         flat = gumbel_softmax(flat_logits, tau, rng, hard=True)
     else:

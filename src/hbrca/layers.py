@@ -12,8 +12,9 @@ their backward is `Mlp2.backward_rows` / `Mlp2.backward_pairs`. The same
 forward serves training and evaluation; they differ only in batch norm
 (`BatchNorm.normalize`: the batch's statistics, or the running ones in
 place) and in the buffers the caller passes. The decoder's networks,
-which have no batch norm, run `run_rows` and `backward_rows` inside its
-one-node transition (`decoder.step_flat`).
+which have no batch norm, run `run_rows` inside its forward
+(`decoder._forward`) and `backward_rows` inside the node that training
+records over it (`decoder.step_flat`).
 """
 
 from __future__ import annotations
@@ -103,10 +104,8 @@ class BatchNorm:
         overwrites: adds into gamma and beta, returns the gradient at `h`."""
         xhat, inv = saved
         tmp = g * xhat
-        if self.gamma.requires_grad:
-            self.gamma._accumulate(tmp.sum(axis=0, keepdims=True), owned=True)
-        if self.beta.requires_grad:
-            self.beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+        self.gamma._accumulate(tmp.sum(axis=0, keepdims=True), owned=True)
+        self.beta._accumulate(g.sum(axis=0, keepdims=True), owned=True)
         g *= self.gamma.data  # dL/dxhat
         np.multiply(g, xhat, out=tmp)
         proj = tmp.mean(axis=0, keepdims=True)
@@ -212,11 +211,8 @@ class Mlp2:
         half, rows = self.n_in // 2, len(node_h)
         g_recv = dh.reshape(rows, idx.n_nodes - 1, -1).sum(axis=1)
         g_send = dh[idx.sigma].reshape(rows, idx.n_nodes - 1, -1).sum(axis=1)
-        if self.b1.requires_grad:
-            self.b1._accumulate(g_recv.sum(axis=0, keepdims=True), owned=True)
-        if self.w1.requires_grad:
-            self.w1._accumulate(np.concatenate([node_h.T @ g_send, node_h.T @ g_recv]),
-                                owned=True)
+        self.b1._accumulate(g_recv.sum(axis=0, keepdims=True), owned=True)
+        self.w1._accumulate(np.concatenate([node_h.T @ g_send, node_h.T @ g_recv]), owned=True)
         w1 = self.w1.data
         return g_send @ w1[:half].T + g_recv @ w1[half:].T
 

@@ -76,9 +76,8 @@ def encode_windows(model: ModelParams, windows: np.ndarray):
     for lo in range(0, s, _CHUNK):
         hi = min(lo + _CHUNK, s)
         lg = encode_logits(model.encoder, windows[lo:hi], training=False)
-        pr = T.softmax_rows(lg)
-        logits[lo:hi] = lg.data.reshape(hi - lo, -1, 3)
-        probs[lo:hi] = pr.data.reshape(hi - lo, -1, 3)
+        logits[lo:hi] = lg.reshape(hi - lo, -1, 3)
+        probs[lo:hi] = T._softmax(lg).reshape(hi - lo, -1, 3)
     return probs, logits
 
 

@@ -6,6 +6,12 @@ reverse topological order and accumulates gradients into every tensor
 created with requires_grad=True. A tape is differentiated once: backward()
 unlinks it as it goes, so nothing the loss still references keeps it alive.
 
+The tape is for training only. An op records a node when one of its
+inputs needs a gradient, and every model parameter does; there is no
+switch that turns recording off. Evaluation therefore never hands a
+parameter Tensor to an op: it runs the networks' plain-array forwards
+(`encoder._forward`, `decoder._forward`) and `_softmax` on `.data`.
+
 Only the operations this package composes are provided; everything is
 float64 and single-threaded apart from whatever BLAS does inside matmul.
 
@@ -18,9 +24,10 @@ included.
 The two networks of the model are each fused into nodes built outside
 this module, for the same reason: each elementwise pass over a
 pair-sized array, and each fresh buffer it allocates, costs about as
-much as a small GEMM. The encoder's forward (`encoder.encode_logits`) is
-one node per call and the decoder's transition (`decoder.step_flat`)
-one node per step. Both run on plain arrays and are built on `_node`,
+much as a small GEMM. In training the encoder's forward
+(`encoder.encode_logits`) is one node per call and the decoder's
+transition (`decoder.step_flat`) one node per step. Each is a node over
+its network's plain-array forward, built on `_node`,
 `Tensor._accumulate`, `_perceptron_backward` and `_affine_backward`,
 and every network in both runs `layers.Mlp2.run_rows` (or `run_pairs`).
 Every activation goes through `_activation`, which looks its kernel up
@@ -30,25 +37,9 @@ by name at each call, so every ReLU in the program runs the one kernel
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from .errors import AbsentGradientError, DimensionError, NumericalError, ParameterError
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (evaluation paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:
@@ -136,13 +127,10 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _records(parents) -> bool:
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
 def _node(data: np.ndarray, parents, backward) -> Tensor:
+    """A tape node over `parents`; it records only if one needs a gradient."""
     out = Tensor(data)
-    if _records(parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -346,10 +334,8 @@ def _perceptron_backward(g, hidden, out, w2: Tensor, b2: Tensor, slope) -> np.nd
     the output gradient `g`, which it scales in place: adds into b2 and w2
     and returns the gradient at `pre`."""
     g *= slope(out)
-    if b2.requires_grad:
-        b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-    if w2.requires_grad:
-        w2._accumulate(hidden.T @ g, owned=True)
+    b2._accumulate(g.sum(axis=0, keepdims=True), owned=True)
+    w2._accumulate(hidden.T @ g, owned=True)
     dh = g @ w2.data.T
     dh *= slope(hidden)
     return dh
@@ -357,21 +343,26 @@ def _perceptron_backward(g, hidden, out, w2: Tensor, b2: Tensor, slope) -> np.nd
 
 def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None) -> None:
     """Adds the gradients of x @ w (+ b) under upstream gradient g."""
-    if b is not None and b.requires_grad:
+    if b is not None:
         b._accumulate(g.sum(axis=0, keepdims=True), owned=True)
-    if w.requires_grad:
-        w._accumulate(x.T @ g, owned=True)
+    w._accumulate(x.T @ g, owned=True)
 
 
 # -- softmax --------------------------------------------------------------
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis of a 2-D array (`softmax_rows`'
+    forward, which evaluation calls on its own)."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(a) -> Tensor:
     """Row softmax over the last axis of a 2-D tensor."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = _softmax(a.data)
 
     def backward(g):
         if a.requires_grad:

@@ -235,6 +235,8 @@ class Checkpoint:
                 raise DataError(f"checkpoint shape mismatch for '{name}'")
             tensor.data = self.params[name].copy()
         for name, arr in buffers.items():
+            if arr.shape != self.buffers[name].shape:
+                raise DataError(f"checkpoint shape mismatch for '{name}'")
             arr[...] = self.buffers[name]
         return model
 

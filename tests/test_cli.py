@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 from pathlib import Path
@@ -607,6 +608,26 @@ def test_bad_checkpoint_gives_exit_3(trained, tmp_path, command, fault, message,
         "schema_version": 1, command: {"checkpoint": str(bad), "corpus": corpus}})
     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "rca"])
+@pytest.mark.parametrize("shape", [[1, 1], [2, 128]], ids=["broadcastable", "too-many-rows"])
+def test_checkpoint_buffer_of_wrong_shape_gives_exit_3(trained, tmp_path, command, shape,
+                                                      capsys):
+    """A batch-norm buffer whose shape is not its network's is a data error
+    naming the buffer, whether numpy could broadcast it or not."""
+    corpus, checkpoint = trained
+    doc = json.loads(open(checkpoint, encoding="utf-8").read())
+    name = "enc.edge1.bn.running_mean"
+    assert doc["buffers"][name]["shape"] == [1, 128]
+    doc["buffers"][name] = {"shape": shape, "data": base64.b64encode(
+        np.zeros(shape).astype("<f8").tobytes()).decode("ascii")}
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(doc))
+    path = write_config(tmp_path / "c.json", {
+        "schema_version": 1, command: {"checkpoint": str(bad), "corpus": corpus}})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert f"shape mismatch for '{name}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["predict", "rca"])

@@ -309,6 +309,13 @@ BAD_METADATA_KEYS = [
     (payload().replace('"normalization_scale": 1.0', '"normalization_scale": "nan"'), 1,
      "normalization_scale"),
     (payload().replace('"dt": 1.0', '"dt": -1'), 1, "dt"),
+    (payload(meta=', "boundary_step": "abc"'), 1, "boundary_step"),
+    (payload(meta=', "boundary_step": -5'), 1, "boundary_step"),
+    (payload(meta=', "boundary_step": 2.5'), 1, "boundary_step"),
+    (payload(meta=', "predicted": "no"'), 1, "predicted"),
+    (payload().replace('["A"]', '[1]'), 1, "atom_names"),
+    (payload().replace('["A"]', '[{"name": "A"}]'), 1, "atom_names"),
+    (payload(meta=', "root_cause_nodes": [true]'), 1, "root_cause_nodes"),
 ]
 BAD_METADATA = [(content, line) for content, line, _ in BAD_METADATA_KEYS]
 

@@ -16,12 +16,13 @@ import pytest
 
 from hbrca import layers
 from hbrca import tensor as T
-from hbrca.decoder import DecoderParams, step_flat
-from hbrca.encoder import EncoderParams, encode_logits
+from hbrca.decoder import DecoderParams, rollout, step, step_flat
+from hbrca.encoder import (CATEGORICAL_HARD, CONCRETE, EncoderParams, encode, encode_logits,
+                           sample_edges)
 from hbrca.errors import ParameterError
 from hbrca.graph import pair_index
 from hbrca.layers import BN_EPS, BN_MOMENTUM, BatchNorm
-from hbrca.model import _CHUNK, ModelParams, encode_windows
+from hbrca.model import _CHUNK, ModelParams, encode_windows, predict_windows
 from hbrca.tensor import Tensor
 
 ACTIVATIONS = ("relu", "elu")
@@ -169,17 +170,17 @@ def _encoder(rng, n_in, hidden):
 
 @pytest.mark.parametrize("n,batch", [(2, 3), (5, 131)], ids=["N2", "N5-B131"])
 def test_encoder_eval_matches_unfused_composition_bitwise(n, batch, rng):
-    """Outside `no_grad`, with every parameter on the tape: the eval pass
-    records nothing, leaves the windows as they were and gives the bits
-    of the unfused composition."""
+    """With every parameter on the tape, the eval pass returns a plain
+    array, leaves the windows as they were and gives the bits of the
+    unfused composition."""
     t, d = 3, 2
     params = _encoder(rng, t * d, hidden=16)
     windows = _with_signed_zeros(rng.normal(size=(batch, n, t, d)), rng)
     before = windows.copy()
     got = encode_logits(params, windows, training=False)
-    assert _same_bits(got.data, encoder_eval_ref(params, windows))
+    assert type(got) is np.ndarray
+    assert _same_bits(got, encoder_eval_ref(params, windows))
     assert _same_bits(windows, before)
-    assert not got.requires_grad and got._parents == () and got._backward is None
     assert all(p.grad is None for p in params.parameters().values())
 
 
@@ -328,24 +329,7 @@ def test_encoder_training_with_batch_statistics_matches_eval_bitwise(rng, monkey
         bn = getattr(params, name).bn
         assert _same_bits(bn.running_mean, mean) and _same_bits(bn.running_var, var)
     evaluated = encode_logits(params, windows, training=False)
-    assert _same_bits(evaluated.data, training.data)
-
-
-def test_encoder_training_no_grad_gives_the_same_bits_and_records_nothing(rng):
-    """The running statistics move on in both: no_grad only stops recording."""
-    params, windows = _training_case(rng, n=4, batch=3)
-    before = {k: v.copy() for k, v in params.buffers().items()}
-    recorded = encode_logits(params, windows, training=True)
-    after = {k: v.copy() for k, v in params.buffers().items()}
-    for key, buf in params.buffers().items():
-        buf[...] = before[key]
-    with T.no_grad():
-        bare = encode_logits(params, windows, training=True)
-    assert recorded._parents and recorded._backward is not None
-    assert bare._parents == () and bare._backward is None and not bare.requires_grad
-    assert _same_bits(bare.data, recorded.data)
-    assert all(_same_bits(v, after[k]) for k, v in params.buffers().items())
-    assert not all(_same_bits(v, before[k]) for k, v in after.items())
+    assert _same_bits(evaluated, training.data)
 
 
 # -- the decoder transition -------------------------------------------------------
@@ -481,13 +465,37 @@ def test_decoder_step_rollout_matches_unfused_chain_bitwise(rng):
         assert _same_bits(got[name], ref), name
 
 
-def test_decoder_step_no_grad_gives_the_same_bits_and_records_nothing(rng):
-    dec, params, idx, a, bias = _decoder_case(rng)
-    pos = Tensor(rng.normal(size=(bias.shape[0], 3)), requires_grad=True)
-    terms = tuple(Tensor(v, requires_grad=True) for v in (a["msg_hb"], a["msg_sep"], bias))
-    recorded = step_flat(dec, pos, terms, idx)
-    with T.no_grad():
-        bare = step_flat(dec, pos, terms, idx)
-    assert recorded._parents and recorded._backward is not None
-    assert bare._parents == () and bare._backward is None and not bare.requires_grad
-    assert _same_bits(bare.data, recorded.data)
+
+# -- evaluation stays off the tape ------------------------------------------------
+
+
+def test_evaluation_builds_no_tape_node(rng, monkeypatch):
+    """Every parameter needs a gradient, so an op handed one records a
+    node. No evaluation entry point hands the tape a parameter: none of
+    them calls `_node` with a parent that needs a gradient. A training
+    forward afterwards shows that the count sees the encoder's node."""
+    recording = []
+    node = T._node
+
+    def counting(data, parents, backward):
+        parents = tuple(parents)
+        if any(p.requires_grad for p in parents):
+            recording.append(parents)
+        return node(data, parents, backward)
+
+    model = ModelParams.create(rng, 4, 2, enc_hidden=8, dec_hidden=6, msg_dim=6)
+    windows = rng.normal(size=(3, 4, 4, 2))
+    edges = np.eye(3)[rng.integers(0, 3, size=(4, 4))]
+    first = windows[0, :, 0, :]
+    monkeypatch.setattr(T, "_node", counting)
+    encode_windows(model, windows)
+    predict_windows(model, windows, 0.5, 0)
+    posterior = encode(model.encoder, windows[0])
+    step(model.decoder, first, edges)
+    rollout(model.decoder, first, edges, 2, teacher=windows[0])
+    rollout(model.decoder, first, edges, 2, n_steps=5)
+    for mode in (CONCRETE, CATEGORICAL_HARD):
+        sample_edges(posterior, 0.5, mode, rng)
+    assert len(recording) == 0
+    encode_logits(model.encoder, windows, training=True)
+    assert len(recording) == 1

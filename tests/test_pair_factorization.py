@@ -89,16 +89,15 @@ def test_batched_forward_matches_per_pair_concat_form(rng):
         mlp.bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=mlp.bn.gamma.shape)
         mlp.bn.beta.data[...] = rng.normal(size=mlp.bn.beta.shape)
     windows = rng.normal(size=(B, N, t, d))
-    for training in (False, True):
-        expect = _encoder_reference(params, windows, training)
-        with T.no_grad():
-            got = encode_logits(params, windows, training=training)
-        _assert_close(got.data, expect)
+    evaluated = encode_logits(params, windows, training=False)
+    _assert_close(evaluated, _encoder_reference(params, windows, training=False))
+    trained = encode_logits(params, windows, training=True)
+    _assert_close(trained.data, _encoder_reference(params, windows, training=True))
 
     dec = DecoderParams.create(rng, d, hidden=5, msg_dim=4)
     idx = pair_index(N, B)
     positions = rng.normal(size=(B * N, d))
     edges = rng.dirichlet([1.0, 1.0, 1.0], size=B * N * (N - 1))
-    with T.no_grad():
-        got = step_flat(dec, T.Tensor(positions), edge_terms(dec, T.Tensor(edges), idx), idx)
+    terms = edge_terms(T.Tensor(edges), dec.msg_hb_head.b, dec.msg_sep_head.b, idx)
+    got = step_flat(dec, T.Tensor(positions), terms, idx)
     _assert_close(got.data, _decoder_reference(dec, positions, edges))

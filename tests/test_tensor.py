@@ -38,13 +38,6 @@ def test_absent_gradient_error():
         collect_grads({"x": x, "unused": unused})
 
 
-def test_no_grad_suppresses_tape():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with T.no_grad():
-        y = T.tsum(T.square(x))
-    assert y._backward is None and not y.requires_grad
-
-
 def test_backward_releases_the_tape(rng):
     """A loss kept after backward() holds no tape: training would otherwise
     keep one step's activations alive through the next step's forward."""
