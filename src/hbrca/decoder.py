@@ -27,6 +27,17 @@ Each network runs `Mlp2.run_rows` and `Mlp2.backward_rows`, the same
 code as the encoder's networks. Both rollouts follow one k-step
 schedule (`_schedule`).
 
+Evaluation runs each message network only on the pairs whose weight for
+its type is nonzero (`_type_rows`); a rollout's edges fix those rows for
+every step. With hard edges a pair feeds one network or none, so the
+networks see the hb plus the sep pairs instead of every pair twice. The
+weighted messages are written into a zeroed buffer at their rows, and
+the per-receiver sums add the same terms in the same order: the other
+rows hold the 0.0 that their zero weight gave, so results are bit for
+bit those of running every pair. Training runs both networks on every
+pair: an edge weight's gradient reads its pair's message even where the
+weight is 0, and relaxed weights can underflow to exactly 0.
+
 The backward is the op-by-op chain's backward written out. It adds into
 each gradient with the same expressions, in the same order:
   1. the residual's term into the positions;
@@ -117,23 +128,48 @@ def edge_terms(edge_onehots, b_hb, b_sep, idx: PairIndex) -> tuple:
 
 
 def _forward(params: DecoderParams, positions: np.ndarray, a_hb: np.ndarray,
-             a_sep: np.ndarray, bias: np.ndarray, idx: PairIndex) -> tuple:
+             a_sep: np.ndarray, bias: np.ndarray, idx: PairIndex, rows=None) -> tuple:
     """One transition on plain arrays, [B*N, D] -> [B*N, D], from the
     arrays of `edge_terms`; returns the next positions and what the
-    backward of `step_flat` reads."""
+    backward of `step_flat` reads. With `rows` (evaluation, per network
+    from `_type_rows`) each message network runs on its rows only, whose
+    weights `a_hb` and `a_sep` then hold; without, both run on every pair."""
     group = idx.n_nodes - 1
-    recv = np.repeat(positions, group, axis=0)
-    pair = np.concatenate([recv[idx.sigma], recv], axis=1)
+    nets = (params.msg_hb, params.msg_sep)
     # the decoder's networks have no batch norm, so `training` changes nothing
-    msgs = [net.run_rows(pair, training=True) for net in (params.msg_hb, params.msg_sep)]
-    summed = [(out * a).reshape(-1, group, out.shape[1]).sum(axis=1)
-              for (out, _), a in zip(msgs, (a_hb, a_sep))]
+    if rows is None:
+        recv = np.repeat(positions, group, axis=0)
+        pair = np.concatenate([recv[idx.sigma], recv], axis=1)
+        msgs = [net.run_rows(pair, training=True) for net in nets]
+        weighted = [out * a for (out, _), a in zip(msgs, (a_hb, a_sep))]
+    else:
+        pair, msgs, weighted = None, None, []
+        for net, a, (sel, nodes, buf) in zip(nets, (a_hb, a_sep), rows):
+            out, _ = net.run_rows(positions[nodes].reshape(len(sel), net.n_in), training=True)
+            out *= a
+            buf[sel] = out
+            weighted.append(buf)
+    summed = [w.reshape(-1, group, w.shape[1]).sum(axis=1) for w in weighted]
     agg = summed[0] @ params.msg_hb_head.w.data
     agg = agg + summed[1] @ params.msg_sep_head.w.data
     agg = agg + bias
     node_out, node_saved = params.node.run_rows(agg, training=True)
     out = positions + (node_out @ params.out_head.w.data + params.out_head.b.data)
     return out, (pair, msgs, summed, agg, node_out, node_saved)
+
+
+def _type_rows(net: Mlp2, a: np.ndarray, idx: PairIndex) -> tuple:
+    """One message network's rows in evaluation: the pair rows whose weight
+    in the edge column `a` [B*E, 1] is nonzero. Returns their weights and
+    (rows, [sender, receiver] node rows, zeroed [B*E, hidden] buffer).
+
+    A lone row gets a zero-weight neighbour: numpy runs a one-row product
+    as a matrix-vector product, whose bits differ from the full GEMM's."""
+    sel = np.flatnonzero(a[:, 0])
+    if len(sel) == 1:
+        sel = np.append(sel, (sel[0] + 1) % len(a))
+    nodes = np.stack([idx.sender_rows[sel], sel // (idx.n_nodes - 1)], axis=1)
+    return a[sel], (sel, nodes, np.zeros((len(a), net.w2.shape[1])))
 
 
 def step_flat(
@@ -187,11 +223,6 @@ def step(params: DecoderParams, r_t: np.ndarray, edges: np.ndarray) -> np.ndarra
     `edges` is an [N, N, 3] array of (relaxed) one-hot rows with
     sender-first indexing; the diagonal is ignored.
     """
-    if r_t.ndim != 2:
-        raise DimensionError(f"expected [N, D] positions, got {r_t.shape}")
-    n = r_t.shape[0]
-    if edges.shape != (n, n, 3):
-        raise DimensionError(f"expected [N, N, 3] edges, got {edges.shape}")
     return rollout(params, r_t, edges, 1, n_steps=1)[:, 0]
 
 
@@ -233,12 +264,15 @@ def _rollout_arrays(params: DecoderParams, windows: np.ndarray, edge_onehots: np
     """`rollout_train`'s schedule on plain arrays (`_forward`); yields the
     T-1 predicted rows [B*N, D] in time order."""
     b_hb, b_sep = params.msg_hb_head.b.data, params.msg_sep_head.b.data
-    terms = [term.data for term in edge_terms(edge_onehots, b_hb, b_sep, idx)]
+    a_hb, a_sep, bias = (term.data for term in edge_terms(edge_onehots, b_hb, b_sep, idx))
+    (w_hb, rows_hb), (w_sep, rows_sep) = (
+        _type_rows(params.msg_hb, a_hb, idx), _type_rows(params.msg_sep, a_sep, idx))
     mu = None
     for truth in _schedule(windows, k):
         # keep only the positions: holding a step's activations through the
         # next step made predict-long's eval rollout about 10 % slower
-        mu = _forward(params, mu if truth is None else truth, *terms, idx)[0]
+        mu = _forward(params, mu if truth is None else truth, w_hb, w_sep, bias, idx,
+                      (rows_hb, rows_sep))[0]
         yield mu
 
 
@@ -274,7 +308,11 @@ def rollout(
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    if r_1.ndim != 2:
+        raise DimensionError(f"expected [N, D] positions, got {r_1.shape}")
     n, d = r_1.shape
+    if edges.shape != (n, n, 3):
+        raise DimensionError(f"expected [N, N, 3] edges, got {edges.shape}")
     idx = pair_index(n)
     flat_edges = idx.from_matrix(edges)
     if teacher is None:
@@ -283,5 +321,9 @@ def rollout(
         fake = np.zeros((1, n, n_steps + 1, d))
         fake[:, :, 0, :] = r_1
         return rollout_eval(params, fake, flat_edges, idx)[0]
+    if teacher.ndim != 3 or teacher.shape[0] != n or teacher.shape[1] < 2 or teacher.shape[2] != d:
+        raise DimensionError(f"expected an [{n}, T >= 2, {d}] teacher, got {teacher.shape}")
+    if not np.array_equal(r_1, teacher[:, 0]):
+        raise ParameterError("r_1 must be the teacher's first state")
     preds = list(_rollout_arrays(params, teacher[None, ...], flat_edges, k, idx))
     return np.stack(preds, axis=1).reshape(n, teacher.shape[1] - 1, -1)

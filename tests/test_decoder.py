@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from hbrca import model as model_mod
 from hbrca.decoder import DecoderParams, rollout, rollout_eval, rollout_train, step
 from hbrca.errors import DimensionError, ParameterError
 from hbrca.graph import pair_index
+from hbrca.layers import Mlp2
+from hbrca.model import _CHUNK, ModelParams, predict_windows
 from hbrca.tensor import Tensor
 
 
@@ -144,18 +147,111 @@ def test_rollout_k_equal_t_is_pure_self_rollout(rng):
     assert np.max(np.abs(scheduled - free)) < 1e-12
 
 
-def test_eval_rollout_is_the_t_minus_1_schedule_bitwise(rng):
-    """A batch self-rollout on plain arrays equals the taped scheduled
-    rollout at k = T-1, bit for bit."""
-    b, n, t, d = 4, 5, 50, 3
-    params = DecoderParams.create(rng, d)
-    windows = rng.normal(size=(b, n, t, d))
-    edges = np.eye(3)[rng.integers(0, 3, size=b * n * (n - 1))]
-    idx = pair_index(n, b)
+def _edge_rows(kind, rows, rng):
+    """[rows, 3] edge weights: hard one-hots of one kind or mixed, one lone
+    hb row among sep rows, or relaxed (with or without exact zeros)."""
+    if kind in ("none", "hb", "sep"):
+        return np.eye(3)[np.full(rows, ("none", "hb", "sep").index(kind))]
+    if kind == "lone hb":
+        edges = np.eye(3)[np.full(rows, 2)]
+        edges[rows // 2] = [0.0, 1.0, 0.0]
+        return edges
+    if kind.startswith("relaxed"):
+        edges = rng.dirichlet([1.0, 1.0, 1.0], size=rows)
+        if kind == "relaxed with zeros":
+            edges[rng.random(edges.shape) < 0.3] = 0.0
+        return edges
+    return np.eye(3)[rng.integers(0, 3, size=rows)]
+
+
+def _schedule_ref(params, windows, edges, idx):
+    """The taped k = T-1 rollout as a [B, N, T-1, D] array."""
+    b, n, t, d = windows.shape
     scheduled = rollout_train(params, windows, Tensor(edges), t - 1, idx)
     expect = np.stack([mu.data for mu in scheduled]).reshape(t - 1, b, n, d)
-    assert np.array_equal(rollout_eval(params, windows, edges, idx),
-                          expect.transpose(1, 2, 0, 3))
+    return expect.transpose(1, 2, 0, 3)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("b, n, t, kind, signed_zeros", [
+    (4, 5, 50, "mixed", False),
+    (3, 4, 6, "none", False),
+    (3, 4, 6, "hb", False),
+    (3, 4, 6, "sep", False),
+    (2, 4, 6, "lone hb", False),
+    (3, 2, 8, "mixed", False),
+    (2, 10, 6, "mixed", False),
+    (1, 2, 8, "lone hb", False),
+    (3, 4, 8, "relaxed", False),
+    (3, 4, 8, "relaxed with zeros", False),
+    (4, 5, 8, "mixed", True),
+])
+def test_eval_rollout_is_the_t_minus_1_schedule_bitwise(rng, b, n, t, kind, signed_zeros):
+    """A batch self-rollout on plain arrays, each message network on its
+    own type's rows, equals the taped scheduled rollout at k = T-1, which
+    runs both networks on every pair, bit for bit."""
+    d = 3
+    params = DecoderParams.create(rng, d)
+    windows = rng.normal(size=(b, n, t, d))
+    if signed_zeros:
+        pick = rng.random(windows.shape) < 0.25
+        windows[pick] = np.where(rng.random(windows.shape) < 0.5, 0.0, -0.0)[pick]
+    edges = _edge_rows(kind, b * n * (n - 1), rng)
+    idx = pair_index(n, b)
+    assert _same_bits(rollout_eval(params, windows, edges, idx),
+                      _schedule_ref(params, windows, edges, idx))
+
+
+def test_predict_windows_with_a_partial_chunk_is_the_schedule_bitwise(rng, monkeypatch):
+    """`predict_windows` over a batch whose last chunk is partial: each
+    chunk's hard-edge rollout equals the taped schedule on that chunk."""
+    model = ModelParams.create(rng, 6, 2, enc_hidden=8, dec_hidden=6, msg_dim=6)
+    windows = rng.normal(size=(_CHUNK + 3, 4, 6, 2))
+    chunks = []
+
+    def recording(params, chunk, edges, idx):
+        chunks.append((chunk, edges, idx))
+        return rollout_eval(params, chunk, edges, idx)
+
+    monkeypatch.setattr(model_mod, "rollout_eval", recording)
+    preds = predict_windows(model, windows, 0.5, 0)
+    assert [len(c) for c, _, _ in chunks] == [_CHUNK, 3]
+    expect = np.concatenate([_schedule_ref(model.decoder, c, e, i) for c, e, i in chunks])
+    assert _same_bits(preds, expect)
+
+
+def test_eval_runs_each_message_network_on_its_own_pairs(rng, monkeypatch):
+    """With hard edges each message network sees only the pairs of its own
+    type at every step, so the rows reaching the two networks add up to
+    the hb pairs plus the sep pairs, not twice every pair."""
+    model = ModelParams.create(rng, 6, 2, enc_hidden=8, dec_hidden=6, msg_dim=6)
+    s, n, t = _CHUNK + 3, 5, 6
+    windows = rng.normal(size=(s, n, t, 2))
+    nets = {id(model.decoder.msg_hb): "hb", id(model.decoder.msg_sep): "sep"}
+    rows = {"hb": 0, "sep": 0}
+    drawn = []
+    run_rows, eval_rollout = Mlp2.run_rows, model_mod.rollout_eval
+
+    def counting(self, x, training):
+        if id(self) in nets:
+            rows[nets[id(self)]] += len(x)
+        return run_rows(self, x, training)
+
+    def recording(params, chunk, edges, idx):
+        drawn.append(edges)
+        return eval_rollout(params, chunk, edges, idx)
+
+    monkeypatch.setattr(Mlp2, "run_rows", counting)
+    monkeypatch.setattr(model_mod, "rollout_eval", recording)
+    predict_windows(model, windows, 0.5, 0)
+    edges = np.concatenate(drawn)
+    assert edges.shape == (s * n * (n - 1), 3)
+    hb, sep = (int(np.count_nonzero(edges[:, c])) * (t - 1) for c in (1, 2))
+    assert rows == {"hb": hb, "sep": sep}
+    assert 0 < hb + sep < 2 * len(edges) * (t - 1)
 
 
 def test_rollout_reintroduces_truth_every_k(rng):
@@ -181,3 +277,20 @@ def test_rollout_rejects_bad_k(rng):
     params = zero_decoder(2)
     with pytest.raises(ParameterError):
         rollout(params, np.zeros((3, 2)), edges_all(3, 0), k=0, n_steps=3)
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 2), (3, 2), (3, 1, 2), (3, 6, 3)],
+                         ids=["wrong N", "2-D", "T=1", "wrong D"])
+def test_rollout_rejects_a_teacher_of_the_wrong_shape(rng, shape):
+    params = DecoderParams.create(rng, 2, hidden=4, msg_dim=4)
+    r_1 = rng.normal(size=(3, 2))
+    teacher = rng.normal(size=shape)
+    with pytest.raises(DimensionError):
+        rollout(params, r_1, edges_all(3, 1), k=2, teacher=teacher)
+
+
+def test_rollout_rejects_r_1_other_than_the_teachers_first_state(rng):
+    params = DecoderParams.create(rng, 2, hidden=4, msg_dim=4)
+    teacher = rng.normal(size=(3, 6, 2))
+    with pytest.raises(ParameterError):
+        rollout(params, teacher[:, 0] + 100.0, edges_all(3, 1), k=2, teacher=teacher)
