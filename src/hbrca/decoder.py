@@ -12,20 +12,23 @@ receiver's incoming edges rather than on every pair row:
 
 with a_j the edge-type weight of pair j -> i and h_j the message
 network's hidden output. The bias term depends on the edges alone and
-is built once per rollout (`edge_terms`). Results match the per-pair
-form up to rounding in the last bits.
+is built once per rollout, on arrays (`edge_terms`). Results match the
+per-pair form up to rounding in the last bits.
 
 A transition has one forward (`_forward`) on plain arrays: the
 [sender, receiver] pair rows, both message networks, the edge-type
 weighting and per-receiver sums, the two message heads, the node
 network, the output head and the residual. Evaluation (`step`,
 `rollout`, `rollout_eval`) runs it directly and never touches the tape.
-Training records it as one tape node per step (`step_flat`), which
-keeps only what its backward reads: the pair rows, each network's
-hidden and output activations, the per-receiver sums and the aggregate.
-Each network runs `Mlp2.run_rows` and `Mlp2.backward_rows`, the same
-code as the encoder's networks. Both rollouts follow one k-step
-schedule (`_schedule`).
+Training records the whole scheduled rollout as one tape node
+(`rollout_train`) over the edge one-hots and the 18 decoder parameters;
+it returns the T-1 predictions stacked [T-1, B*N, D]. Each transition in
+it is a `step_flat`: `_forward` plus a backward closure on arrays, which
+keeps only what it reads: the pair rows, each network's hidden and
+output activations, the per-receiver sums and the aggregate. Each
+network runs `Mlp2.run_rows` and `Mlp2.backward_rows`, the same code as
+the encoder's networks. Both rollouts follow one k-step schedule
+(`_schedule`).
 
 Evaluation runs each message network only on the pairs whose weight for
 its type is nonzero (`_type_rows`); a rollout's edges fix those rows for
@@ -38,18 +41,21 @@ bit those of running every pair. Training runs both networks on every
 pair: an edge weight's gradient reads its pair's message even where the
 weight is 0, and relaxed weights can underflow to exactly 0.
 
-The backward is the op-by-op chain's backward written out. It adds into
-each gradient with the same expressions, in the same order:
-  1. the residual's term into the positions;
-  2. the output head, then the node network;
-  3. the aggregate's gradient into the bias term;
-  4. for the hb and then the sep network: its head, its edge column, and
-     the network itself; the two pair-row gradients are summed;
-  5. the pair-path term into the positions.
-Steps run in the tape's order, so gradients are bit for bit those of
-the unfused chain. A chained step's positions still take three separate
-additions: the loss term, then the next step's residual, then its pair
-path.
+The backward is the op-by-op chain's backward written out, with the
+same expressions in the same order. One transition's backward adds
+into the output head, then the node network, then for the hb and then
+the sep network its head and the network itself; it returns the
+gradients of its two edge columns and of the bias term (the
+aggregate's), and its pair path's gradient at the positions, where the
+two pair-row gradients are summed. The rollout adds these up, and it
+runs its transitions in the order the op chain's tape did:
+each truth-reset segment in time order, and the steps of a segment in
+reverse (k=3 over T=5: 3, 2, 1, 4). A chained step's positions take
+three separate additions: the loss term, then the next step's residual,
+then its pair path. Each edge column's gradient sums the steps in that
+order and then adds the bias term's degree path; the edges' gradient is
+the two zero-padded columns added. So the gradients are the unfused
+chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -111,20 +117,16 @@ class DecoderParams:
         params.update(self.out_head.parameters(f"{prefix}.out_head"))
         return params
 
-    def buffers(self, prefix: str = "dec") -> dict:
-        return {}
 
-
-def edge_terms(edge_onehots, b_hb, b_sep, idx: PairIndex) -> tuple:
-    """The rollout-fixed inputs of a transition: the hb and sep edge columns
-    [B*E, 1] and the summed head biases [B*N, msg_dim] (`b_hb`, `b_sep`:
-    the message heads' biases). Training passes the bias Tensors, so the
-    terms are on the tape; evaluation passes their arrays, and nothing
-    records."""
-    a_hb, a_sep = T.cols(edge_onehots, 1, 2), T.cols(edge_onehots, 2, 3)
-    deg_hb, deg_sep = (T.segment_sum_rows(a, idx.n_nodes - 1) for a in (a_hb, a_sep))
-    bias = T.add(T.mul(deg_hb, b_hb), T.mul(deg_sep, b_sep))
-    return a_hb, a_sep, bias
+def edge_terms(edge_onehots: np.ndarray, b_hb: np.ndarray, b_sep: np.ndarray,
+               idx: PairIndex) -> tuple:
+    """The rollout-fixed inputs of a transition, on arrays: ((hb edge column,
+    sep edge column) [B*E, 1] each, the summed head biases [B*N, msg_dim]),
+    and the two columns' per-receiver sums [B*N, 1], which the bias term's
+    backward reads (`b_hb`, `b_sep`: the message heads' biases)."""
+    a_hb, a_sep = edge_onehots[:, 1:2].copy(), edge_onehots[:, 2:3].copy()
+    deg_hb, deg_sep = (a.reshape(-1, idx.n_nodes - 1, 1).sum(axis=1) for a in (a_hb, a_sep))
+    return (a_hb, a_sep, deg_hb * b_hb + deg_sep * b_sep), (deg_hb, deg_sep)
 
 
 def _forward(params: DecoderParams, positions: np.ndarray, a_hb: np.ndarray,
@@ -172,49 +174,43 @@ def _type_rows(net: Mlp2, a: np.ndarray, idx: PairIndex) -> tuple:
     return a[sel], (sel, nodes, np.zeros((len(a), net.w2.shape[1])))
 
 
-def step_flat(
-    params: DecoderParams,
-    positions: T.Tensor,
-    terms: tuple,
-    idx: PairIndex,
-) -> T.Tensor:
-    """`_forward` as one tape node (training); `terms` from `edge_terms`."""
+def step_flat(params: DecoderParams, positions: np.ndarray, terms: tuple,
+              idx: PairIndex) -> tuple:
+    """One training transition on arrays: `_forward` on every pair, and its
+    backward (`terms` from `edge_terms`). Returns (next positions,
+    backward). backward(g, chained) adds the transition's parameter
+    gradients under the output gradient `g` and returns the gradients of
+    the three terms, and, when `chained`, the pair path's gradient at
+    `positions` (else None); the residual's is `g` itself."""
     a_hb, a_sep, bias = terms
     group = idx.n_nodes - 1
     nets = (params.msg_hb, params.msg_sep)
     heads = (params.msg_hb_head, params.msg_sep_head)
-    weights = (a_hb, a_sep)
-    out_data, (pair, msgs, summed, agg, node_out, node_saved) = _forward(
-        params, positions.data, a_hb.data, a_sep.data, bias.data, idx)
+    out, (pair, msgs, summed, agg, node_out, node_saved) = _forward(
+        params, positions, a_hb, a_sep, bias, idx)
     out_w, out_b = params.out_head.w, params.out_head.b
 
-    def backward(g):
-        if positions.requires_grad:
-            positions._accumulate(g)
+    def backward(g, chained):
         T._affine_backward(g, node_out, out_w, out_b)
         g_agg = params.node.backward_rows(g @ out_w.data.T, agg, node_saved)
-        bias._accumulate(g_agg)
-        g_pair = None
-        for net, head, a, (out, saved), h in zip(nets, heads, weights, msgs, summed):
+        g_cols, g_pair = [], None
+        for net, head, a, (msg, saved), h in zip(nets, heads, (a_hb, a_sep), msgs, summed):
             T._affine_backward(g_agg, h, head.w, None)
             g_rows = np.repeat(g_agg @ head.w.data.T, group, axis=0)
-            a._accumulate((g_rows * out).sum(axis=1, keepdims=True), owned=True)
-            g_rows *= a.data
-            d_pair = net.backward_rows(g_rows, pair, saved, positions.requires_grad)
+            g_cols.append((g_rows * msg).sum(axis=1, keepdims=True))
+            g_rows *= a
+            d_pair = net.backward_rows(g_rows, pair, saved, chained)
             if g_pair is None:
                 g_pair = d_pair
             else:
                 g_pair += d_pair
-        if positions.requires_grad:
-            d = positions.data.shape[1]
-            g_recv = g_pair[:, d:] + g_pair[:, :d][idx.sigma]
-            positions._accumulate(g_recv.reshape(-1, group, d).sum(axis=1), owned=True)
+        if not chained:
+            return (*g_cols, g_agg), None
+        d = positions.shape[1]
+        g_recv = g_pair[:, d:] + g_pair[:, :d][idx.sigma]
+        return (*g_cols, g_agg), g_recv.reshape(-1, group, d).sum(axis=1)
 
-    parents = (positions, a_hb, a_sep, bias)
-    for net in (*nets, params.node):
-        parents += (net.w1, net.b1, net.w2, net.b2)
-    parents += (heads[0].w, heads[1].w, out_w, out_b)
-    return T._node(out_data, parents, backward)
+    return out, backward
 
 
 def step(params: DecoderParams, r_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -245,18 +241,55 @@ def rollout_train(
     edge_onehots: T.Tensor,
     k: int,
     idx: PairIndex,
-) -> list:
+) -> T.Tensor:
     """Differentiable k-step scheduled rollout over a window batch
-    (`_schedule`, one `step_flat` node per transition); returns the T-1
-    predicted rows [B*N, D] in time order."""
+    (`_schedule`, one `step_flat` per transition), as one tape node over
+    the edge one-hots and the decoder's parameters; returns the T-1
+    predicted rows, stacked in time order [T-1, B*N, D]."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    terms = edge_terms(edge_onehots, params.msg_hb_head.b, params.msg_sep_head.b, idx)
-    preds = []
-    for truth in _schedule(windows, k):
-        current = preds[-1] if truth is None else T.Tensor(truth)
-        preds.append(step_flat(params, current, terms, idx))
-    return preds
+    b, n, t, d = windows.shape
+    group = idx.n_nodes - 1
+    b_hb, b_sep = params.msg_hb_head.b, params.msg_sep_head.b
+    terms, degrees = edge_terms(edge_onehots.data, b_hb.data, b_sep.data, idx)
+    preds = np.empty((t - 1, b * n, d))
+    backwards, starts = [], []
+    for step_i, truth in enumerate(_schedule(windows, k)):
+        if truth is not None:
+            starts.append(step_i)
+        preds[step_i], back = step_flat(
+            params, preds[step_i - 1] if truth is None else truth, terms, idx)
+        backwards.append(back)
+
+    def backward(g):
+        g_terms = None
+        for lo, hi in zip(starts, starts[1:] + [t - 1]):
+            for step_i in range(hi - 1, lo - 1, -1):
+                chained = step_i > lo
+                step_terms, pair_path = backwards[step_i](g[step_i], chained)
+                # drop the step's activations now, as the unfused tape did
+                backwards[step_i] = None
+                if g_terms is None:
+                    g_terms = step_terms
+                else:
+                    for g_term, step_term in zip(g_terms, step_terms):
+                        g_term += step_term
+                if chained:
+                    g[step_i - 1] += g[step_i]
+                    g[step_i - 1] += pair_path
+        g_hb, g_sep, g_bias = g_terms
+        for g_a, head_b, deg in ((g_hb, b_hb, degrees[0]), (g_sep, b_sep, degrees[1])):
+            g_deg = (g_bias * head_b.data).sum(axis=1, keepdims=True)
+            head_b._accumulate((g_bias * deg).sum(axis=0, keepdims=True), owned=True)
+            g_a += np.repeat(g_deg, group, axis=0)
+        g_edges = np.zeros_like(edge_onehots.data)
+        g_edges[:, 1:2] = g_hb
+        g_edges[:, 2:3] = g_sep
+        # the chain added two zero-padded columns, which turns -0.0 into +0.0
+        g_edges += 0.0
+        edge_onehots._accumulate(g_edges, owned=True)
+
+    return T.node(preds, (edge_onehots, *params.parameters().values()), backward)
 
 
 def _rollout_arrays(params: DecoderParams, windows: np.ndarray, edge_onehots: np.ndarray,
@@ -264,7 +297,7 @@ def _rollout_arrays(params: DecoderParams, windows: np.ndarray, edge_onehots: np
     """`rollout_train`'s schedule on plain arrays (`_forward`); yields the
     T-1 predicted rows [B*N, D] in time order."""
     b_hb, b_sep = params.msg_hb_head.b.data, params.msg_sep_head.b.data
-    a_hb, a_sep, bias = (term.data for term in edge_terms(edge_onehots, b_hb, b_sep, idx))
+    (a_hb, a_sep, bias), _ = edge_terms(edge_onehots, b_hb, b_sep, idx)
     (w_hb, rows_hb), (w_sep, rows_sep) = (
         _type_rows(params.msg_hb, a_hb, idx), _type_rows(params.msg_sep, a_sep, idx))
     mu = None

@@ -148,7 +148,7 @@ def encode_logits(
         g_node = params.edge1.backward_pairs(g_edge, node_h, idx, s_edge1)
         params.embed.backward_rows(g_node, x, s_embed, x_grad=False)
 
-    return T._node(logits, tuple(params.parameters().values()), backward)
+    return T.node(logits, tuple(params.parameters().values()), backward)
 
 
 def _forward(params: EncoderParams, x: np.ndarray, idx, training: bool) -> tuple:

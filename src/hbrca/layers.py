@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_number
 from .rng import gumbel
 
 ACTIVATIONS = ("elu", "relu")
@@ -311,20 +311,26 @@ def gumbel_softmax(
     """Sample from softmax((logits + g) / tau) with standard Gumbel g.
 
     `logits` is [R, K]. Concrete mode returns a differentiable Tensor of
-    relaxed one-hots. Hard mode returns exact one-hot rows (a plain
-    array, no gradient), which is an exact categorical sample by the
-    Gumbel-max property.
+    relaxed one-hots: one tape node, softmax((logits + g) * (1/tau)), whose
+    backward is the softmax's, then the product's (times 1/tau). Hard mode
+    returns exact one-hot rows (a plain array, no gradient), which is an
+    exact categorical sample by the Gumbel-max property.
     `noise` overrides the Gumbel draw (used by gradient checks).
     """
-    if tau <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    check_number("tau", tau, minimum=0, above=True)
     logits_t = logits if isinstance(logits, T.Tensor) else T.Tensor(logits)
     if noise is None:
         noise = gumbel(rng, logits_t.data.shape)
+    perturbed = logits_t.data + noise
     if hard:
-        perturbed = logits_t.data + noise
         idx = perturbed.argmax(axis=-1)
         out = np.zeros_like(perturbed)
         np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
         return out
-    return T.softmax_rows(T.mul(T.add(logits_t, noise), 1.0 / tau))
+    inv_tau = 1.0 / tau
+    out = T._softmax(perturbed * inv_tau)
+
+    def backward(g):
+        logits_t._accumulate(T._softmax_backward(g, out) * inv_tau, owned=True)
+
+    return T.node(out, (logits_t,), backward)

@@ -59,9 +59,7 @@ class ModelParams:
         return params
 
     def buffers(self) -> dict:
-        buffers = self.encoder.buffers("enc")
-        buffers.update(self.decoder.buffers("dec"))
-        return buffers
+        return self.encoder.buffers("enc")
 
     def zero_grads(self) -> None:
         for p in self.parameters().values():

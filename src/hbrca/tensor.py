@@ -6,33 +6,38 @@ reverse topological order and accumulates gradients into every tensor
 created with requires_grad=True. A tape is differentiated once: backward()
 unlinks it as it goes, so nothing the loss still references keeps it alive.
 
-The tape is for training only. An op records a node when one of its
-inputs needs a gradient, and every model parameter does; there is no
-switch that turns recording off. Evaluation therefore never hands a
-parameter Tensor to an op: it runs the networks' plain-array forwards
-(`encoder._forward`, `decoder._forward`) and `_softmax` on `.data`.
+The module has no elementwise ops. Every node is a fused one, built with
+`node` outside this module, whose forward runs on plain arrays and whose
+backward is hand-written array code. A training batch records four:
+  1. the encoder's forward (`encoder.encode_logits`);
+  2. the concrete Gumbel-softmax draw (`layers.gumbel_softmax`);
+  3. the decoder's scheduled rollout (`decoder.rollout_train`), which
+     runs one transition (`decoder.step_flat`) per step;
+  4. the loss head (`training.composite_loss`): the posterior's softmax,
+     KL, the per-step reconstruction sums, sparsity and the weighted total.
+Each backward adds into each gradient with the expressions, and in the
+order, of the op-by-op chain it replaced, so the gradients are that
+chain's bit for bit. `backward()` runs the four in reverse: the loss
+head, the rollout, the Gumbel draw, the encoder.
 
-Only the operations this package composes are provided; everything is
-float64 and single-threaded apart from whatever BLAS does inside matmul.
+`node` records only when one of its parents needs a gradient, and every
+model parameter does; there is no switch that turns recording off.
+Evaluation therefore never hands a parameter Tensor to a node: it runs
+the networks' plain-array forwards (`encoder._forward`,
+`decoder._forward`) and `_softmax` on `.data`.
+
+Everything is float64 and single-threaded apart from whatever BLAS does
+inside a matrix product.
 
 Elementwise kernels on pair-sized arrays never select with np.where on a
 data-dependent mask: np.where(z > 0, z, 0.0) took 1.07 ms on a 2880x64
 array where np.maximum(z, 0.0) took 0.11 ms (about 10x; numpy 2.4.6, one
 thread of a 2-vCPU Xeon VM) and gives the same bits, +0.0 at z = -0.0
-included.
-
-The two networks of the model are each fused into nodes built outside
-this module, for the same reason: each elementwise pass over a
-pair-sized array, and each fresh buffer it allocates, costs about as
-much as a small GEMM. In training the encoder's forward
-(`encoder.encode_logits`) is one node per call and the decoder's
-transition (`decoder.step_flat`) one node per step. Each is a node over
-its network's plain-array forward, built on `_node`,
-`Tensor._accumulate`, `_perceptron_backward` and `_affine_backward`,
-and every network in both runs `layers.Mlp2.run_rows` (or `run_pairs`).
-Every activation goes through `_activation`, which looks its kernel up
-by name at each call, so every ReLU in the program runs the one kernel
-`_relu`.
+included. Both networks build their nodes on `Tensor._accumulate`,
+`_perceptron_backward` and `_affine_backward`, and every network runs
+`layers.Mlp2.run_rows` (or `run_pairs`). Every activation goes through
+`_activation`, which looks its kernel up by name at each call, so every
+ReLU in the program runs the one kernel `_relu`.
 """
 
 from __future__ import annotations
@@ -45,16 +50,6 @@ from .errors import AbsentGradientError, DimensionError, NumericalError, Paramet
 def assert_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values in {what}")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -123,11 +118,7 @@ class Tensor:
                 node._parents = ()
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _node(data: np.ndarray, parents, backward) -> Tensor:
+def node(data: np.ndarray, parents, backward) -> Tensor:
     """A tape node over `parents`; it records only if one needs a gradient."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -145,145 +136,6 @@ def collect_grads(params: dict) -> dict:
             raise AbsentGradientError(f"no gradient recorded for '{name}'")
         grads[name] = p.grad
     return grads
-
-
-# -- arithmetic ----------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            b._accumulate(gb, owned=gb is not g)
-
-    return _node(out_data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape), owned=True)
-
-    return _node(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
-
-    return _node(out_data, (a, b), backward)
-
-
-# -- pointwise nonlinearities --------------------------------------------
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data, owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    """Elementwise square root with subgradient 0 at exactly 0."""
-    a = _wrap(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            denom = 2.0 * out_data
-            grad = np.where(a.data > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
-            a._accumulate(grad, owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def square(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(2.0 * g * a.data, owned=True)
-
-    return _node(a.data * a.data, (a,), backward)
-
-
-def absolute(a) -> Tensor:
-    """|x| with subgradient 0 at 0."""
-    a = _wrap(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * sign, owned=True)
-
-    return _node(np.abs(a.data), (a,), backward)
-
-
-# -- reductions & reshaping ----------------------------------------------
-
-
-def tsum(a) -> Tensor:
-    """Sum of every entry, as a 0-d tensor."""
-    a = _wrap(a)
-    out_data = a.data.sum()
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), owned=True)
-
-    return _node(out_data, (a,), backward)
-
-
-def cols(a, lo: int, hi: int) -> Tensor:
-    """Column slice [:, lo:hi] of a 2-D tensor."""
-    a = _wrap(a)
-    out_data = a.data[:, lo:hi]
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, lo:hi] = g
-            a._accumulate(full, owned=True)
-
-    return _node(out_data.copy(), (a,), backward)
-
-
-def segment_sum_rows(a, group: int) -> Tensor:
-    """Sum contiguous groups of `group` rows (fixed-order reduction)."""
-    a = _wrap(a)
-    rows = a.data.shape[0]
-    if rows % group:
-        raise DimensionError(f"{rows} rows not divisible into groups of {group}")
-    out_data = a.data.reshape(rows // group, group, -1).sum(axis=1)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.repeat(g, group, axis=0), owned=True)
-
-    return _node(out_data, (a,), backward)
 
 
 # -- array-level perceptron for the fused nodes --------------------------
@@ -352,21 +204,14 @@ def _affine_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor | None) 
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis of a 2-D array (`softmax_rows`'
-    forward, which evaluation calls on its own)."""
+    """Row softmax over the last axis of a 2-D array."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_rows(a) -> Tensor:
-    """Row softmax over the last axis of a 2-D tensor."""
-    a = _wrap(a)
-    out_data = _softmax(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=1, keepdims=True)
-            a._accumulate(out_data * (g - inner), owned=True)
-
-    return _node(out_data, (a,), backward)
+def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient at the input of `_softmax` from the gradient `g` at its
+    output `out`."""
+    inner = (g * out).sum(axis=1, keepdims=True)
+    return out * (g - inner)

@@ -149,40 +149,71 @@ def composite_loss(
 
     `noise` freezes the Gumbel draw (gradient checks); otherwise `rng`
     supplies it. Returns (loss tensor, float parts for logging).
+
+    The tape holds four nodes: the encoder's logits, the Gumbel draw, the
+    decoder's rollout, and the loss head over the logits and the
+    predictions. The head computes the posterior q = softmax(logits), the
+    KL, the per-step squared-error sums (added in time order), the
+    sparsity term and the weighted total. Its backward is the op-by-op
+    chain's: q's gradient adds the KL product's term, then the KL log's
+    (g q) / q, then the two zero-padded sparsity columns; |x| takes sign(x),
+    and the square root's subgradient is 0 at 0.
     """
     b, n, t, d = windows.shape
     idx = pair_index(n, b)
     logits = encode_logits(model.encoder, windows, training=True)
-    q = T.softmax_rows(logits)
-    log_prior = np.log(np.asarray(config.prior))
-    kl = T.tsum(T.mul(q, T.sub(T.log(q), log_prior)))
-    kl = T.mul(kl, 1.0 / b)
     edges = gumbel_softmax(logits, config.tau, rng, noise=noise)
     preds = rollout_train(model.decoder, windows, edges, config.k, idx)
-    total_sq = None
-    for step_i, mu in enumerate(preds, start=1):
-        target = windows[:, :, step_i, :].reshape(b * n, d)
-        sq = T.tsum(T.square(T.sub(mu, target)))
-        total_sq = sq if total_sq is None else T.add(total_sq, sq)
-    rec = T.mul(total_sq, 1.0 / ((t - 1) * b * n * d))
-    q1 = T.cols(q, 1, 2)
-    q2 = T.cols(q, 2, 3)
+
+    inv_b = 1.0 / b
+    q = T._softmax(logits.data)
+    log_ratio = np.log(q) - np.log(np.asarray(config.prior))
+    kl = (q * log_ratio).sum() * inv_b
+    targets = windows[:, :, 1:, :].transpose(2, 0, 1, 3).reshape(t - 1, b * n, d)
+    diff = preds.data - targets
+    step_sq = [(step_diff * step_diff).sum() for step_diff in diff]
+    total_sq = step_sq[0]
+    for sq in step_sq[1:]:
+        total_sq = total_sq + sq
+    rec_scale = 1.0 / ((t - 1) * b * n * d)
+    rec = total_sq * rec_scale
+    q1, q2 = q[:, 1:2], q[:, 2:3]
     if config.sparsity_mode == L1:
-        sparse = T.tsum(T.absolute(T.add(q1, q2)))
+        pair_sum = q1 + q2
+        sparse = np.abs(pair_sum).sum() * inv_b
     else:
-        sparse = T.tsum(T.sqrt(T.add(T.square(q1), T.square(q2))))
-    sparse = T.mul(sparse, 1.0 / b)
-    loss = T.add(
-        T.add(T.mul(kl, config.lambda_kl), T.mul(rec, config.lambda_rec)),
-        T.mul(sparse, config.lambda_sparse),
-    )
+        square_sum = q1 * q1 + q2 * q2
+        root = np.sqrt(square_sum)
+        sparse = root.sum() * inv_b
+    loss = (kl * config.lambda_kl + rec * config.lambda_rec) + sparse * config.lambda_sparse
+
+    def backward(g):
+        g_kl = (g * config.lambda_kl) * inv_b
+        g_q = g_kl * log_ratio
+        g_q += (g_kl * q) / q
+        g_sparse = (g * config.lambda_sparse) * inv_b
+        if config.sparsity_mode == L1:
+            g_pair = g_sparse * np.sign(pair_sum)
+            g_q1 = g_q2 = g_pair
+        else:
+            denom = 2.0 * root
+            g_pair = np.where(square_sum > 0.0, g_sparse / np.where(denom > 0.0, denom, 1.0), 0.0)
+            g_q1, g_q2 = (2.0 * g_pair) * q1, (2.0 * g_pair) * q2
+        g_q[:, 1:2] += g_q1
+        g_q[:, 2:3] += g_q2
+        # the chain added two zero-padded columns, which turns -0.0 into +0.0
+        g_q += 0.0
+        logits._accumulate(T._softmax_backward(g_q, q), owned=True)
+        preds._accumulate((2.0 * ((g * config.lambda_rec) * rec_scale)) * diff, owned=True)
+
+    loss_t = T.node(np.asarray(loss), (logits, preds), backward)
     parts = {
-        "kl": float(kl.data),
-        "reconstruction": float(rec.data),
-        "sparsity": float(sparse.data),
-        "total": float(loss.data),
+        "kl": float(kl),
+        "reconstruction": float(rec),
+        "sparsity": float(sparse),
+        "total": float(loss),
     }
-    return loss, parts
+    return loss_t, parts
 
 
 # -- checkpoints --------------------------------------------------------------

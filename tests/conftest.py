@@ -23,6 +23,21 @@ def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
+def linear_loss(*pairs):
+    """A scalar tape node: the sum of <t.data, g> over (tensor, g) pairs.
+    Its backward hands each tensor its g, in the order given, so a tensor
+    listed twice takes the sum of its two gs."""
+    from hbrca import tensor as T
+
+    value = sum(float(np.sum(t.data * g)) for t, g in pairs)
+
+    def backward(_):
+        for t, g in pairs:
+            t._accumulate(np.array(g), owned=True)
+
+    return T.node(np.asarray(value), [t for t, _ in pairs], backward)
+
+
 def directional_difference(f, param_data: np.ndarray, direction: np.ndarray,
                            h: float = 1e-5) -> float:
     """Central difference of f along one direction in one parameter."""

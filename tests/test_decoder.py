@@ -168,7 +168,7 @@ def _schedule_ref(params, windows, edges, idx):
     """The taped k = T-1 rollout as a [B, N, T-1, D] array."""
     b, n, t, d = windows.shape
     scheduled = rollout_train(params, windows, Tensor(edges), t - 1, idx)
-    expect = np.stack([mu.data for mu in scheduled]).reshape(t - 1, b, n, d)
+    expect = scheduled.data.reshape(t - 1, b, n, d)
     return expect.transpose(1, 2, 0, 3)
 
 

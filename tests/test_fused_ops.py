@@ -1,29 +1,36 @@
 """Fused tape nodes and in-place paths against the unfused composition,
 bit for bit.
 
-The encoder's forward (`encode_logits`, one node in training) and the
-decoder's `step_flat` each replace a chain of ops, and the eval-mode
-batch norm (`BatchNorm.normalize`) a chain of array expressions. The
-references below are that chain written in plain numpy, with the
-two-branch np.where activations, in the order the unfused ops evaluated
-it. Outputs, running statistics and every gradient must agree exactly,
-including at inputs of exactly +0.0 and -0.0. Eval mode records nothing,
-so only its outputs are checked.
+A training batch records four nodes: the encoder's forward
+(`encode_logits`), the concrete Gumbel draw (`gumbel_softmax`), the
+decoder's rollout (`rollout_train`, one `step_flat` per transition) and
+the loss head (`composite_loss`). Each replaces a chain of ops, and the
+eval-mode batch norm (`BatchNorm.normalize`) a chain of array
+expressions. The references below are that chain written in plain
+numpy, with the two-branch np.where activations, in the order the
+unfused ops evaluated it and added up its gradients. Outputs, running
+statistics and every gradient must agree exactly, including at inputs of
+exactly +0.0 and -0.0. Eval mode records nothing, so only its outputs are
+checked.
 """
 
 import numpy as np
 import pytest
 
-from hbrca import layers
+from hbrca import layers, training
 from hbrca import tensor as T
-from hbrca.decoder import DecoderParams, rollout, step, step_flat
+from hbrca.decoder import DecoderParams, rollout, rollout_train, step
 from hbrca.encoder import (CATEGORICAL_HARD, CONCRETE, EncoderParams, encode, encode_logits,
                            sample_edges)
 from hbrca.errors import ParameterError
 from hbrca.graph import pair_index
 from hbrca.layers import BN_EPS, BN_MOMENTUM, BatchNorm
 from hbrca.model import _CHUNK, ModelParams, encode_windows, predict_windows
+from hbrca.rng import gumbel
 from hbrca.tensor import Tensor
+from hbrca.training import GROUP_LASSO, L1, TrainConfig, composite_loss
+
+from conftest import linear_loss
 
 ACTIVATIONS = ("relu", "elu")
 
@@ -301,7 +308,7 @@ def test_encoder_training_node_matches_unfused_chain_bitwise(n, batch, rng):
 
     logits = encode_logits(params, windows, training=True)
     assert logits._parents == tuple(params.parameters().values())
-    T.add(T.tsum(T.mul(logits, g1)), T.tsum(T.mul(logits, g2))).backward()
+    linear_loss((logits, g1), (logits, g2)).backward()
 
     assert _same_bits(logits.data, ref_logits)
     m = BN_MOMENTUM
@@ -397,11 +404,9 @@ def step_backward_ref(p, cache, g, sigma, group, a):
     return grads
 
 
-def _decoder_case(rng, b=2, n=4, d=3):
+def _decoder_case(rng, b=2, n=4, d=3, t=4):
     dec = DecoderParams.create(rng, d, hidden=5, msg_dim=4)
-    # the message heads' biases enter the step only through `bias`
-    params = {k.removeprefix("dec."): t for k, t in dec.parameters().items()
-              if k.removeprefix("dec.") not in {f"{head}.b" for head in HEADS}}
+    params = {k.removeprefix("dec."): t for k, t in dec.parameters().items()}
     # exact zeros at three ReLU inputs: a zero weight column and a zero bias.
     # x @ w + b then gives +0.0 whether b is +0.0 or -0.0 (the product's
     # zero is +0.0), so -0.0 cannot reach a ReLU here; the kernel test
@@ -413,24 +418,36 @@ def _decoder_case(rng, b=2, n=4, d=3):
     params["node.w1"].data[:, 2] = 0.0
     params["node.b1"].data[0, 2] = -0.0
     idx = pair_index(n, b)
-    rows = b * n * (n - 1)
-    edges = rng.dirichlet([1.0, 1.0, 1.0], size=rows)
+    edges = rng.dirichlet([1.0, 1.0, 1.0], size=b * n * (n - 1))
     edges[::3] = np.eye(3)[rng.integers(0, 3, size=edges[::3].shape[0])]
-    a = {"msg_hb": edges[:, 1:2], "msg_sep": edges[:, 2:3]}
-    bias = _with_signed_zeros(rng.normal(size=(b * n, 4)), rng)
-    return dec, params, idx, a, bias
+    windows = _with_signed_zeros(rng.normal(size=(b, n, t, d)), rng)
+    return dec, params, idx, edges, windows
 
 
-def test_decoder_step_rollout_matches_unfused_chain_bitwise(rng):
+def edge_terms_ref(p, edges, group):
+    """The rollout-fixed terms as the unfused ops built them: the two edge
+    columns, their per-receiver sums, and the degree-weighted head biases."""
+    a = {"msg_hb": edges[:, 1:2].copy(), "msg_sep": edges[:, 2:3].copy()}
+    deg = {name: a[name].reshape(-1, group, 1).sum(axis=1) for name in MESSAGE_NETS}
+    bias = deg["msg_hb"] * p["msg_hb_head.b"] + deg["msg_sep"] * p["msg_sep_head.b"]
+    return a, deg, bias
+
+
+def test_decoder_rollout_node_matches_unfused_chain_bitwise(rng):
     """A k=2 schedule over T=4: x0 -> mu1 -> mu2, then a reset to the
-    ground truth x2 -> mu3. mu1 takes three gradient contributions (the
+    ground truth x2 -> mu3, as one `rollout_train` node over the edges and
+    all 18 decoder parameters. mu1 takes three gradient contributions (the
     loss, step 2's residual, step 2's pair path), and the tape runs the
-    steps in the order 2, 1, 3."""
-    dec, params, idx, a, bias = _decoder_case(rng)
+    steps in the order 2, 1, 3. Each edge column's gradient then adds its
+    degree path, and the edges' gradient is the two zero-padded columns
+    added."""
+    dec, params, idx, edges, windows = _decoder_case(rng)
+    b, n, t, d = windows.shape
     group = idx.n_nodes - 1
-    x0, x2 = (rng.normal(size=(bias.shape[0], 3)) for _ in range(2))
+    x0, x2 = (windows[:, :, i, :].reshape(b * n, d) for i in (0, 2))
     gs = [rng.normal(size=x0.shape) for _ in range(3)]
     p = {k: t.data.copy() for k, t in params.items()}
+    a, deg, bias = edge_terms_ref(p, edges, group)
 
     mu1, c1 = step_ref(p, x0, a, bias, idx.sigma, group)
     mu2, c2 = step_ref(p, mu1, a, bias, idx.sigma, group)
@@ -444,58 +461,176 @@ def test_decoder_step_rollout_matches_unfused_chain_bitwise(rng):
     g_mu1 = g_mu1 + r2["pair_path"]
     r1 = step_backward_ref(p, c1, g_mu1, idx.sigma, group, a)
     r3 = step_backward_ref(p, c3, gs[2], idx.sigma, group, a)
-    expect = {"x0": r1["residual"] + r1["pair_path"]}
-    for name in [*params, "msg_hb", "msg_sep", "bias"]:
-        expect[name] = (r2[name] + r1[name]) + r3[name]
+    steps = {name: (r2[name] + r1[name]) + r3[name]
+             for name in [*r1] if name not in ("residual", "pair_path")}
+    expect = {name: g for name, g in steps.items() if name not in ("bias", *MESSAGE_NETS)}
+    pads = []
+    for name, head, col in zip(MESSAGE_NETS, HEADS, (1, 2)):
+        g_deg = (steps["bias"] * p[f"{head}.b"]).sum(axis=1, keepdims=True)
+        expect[f"{head}.b"] = (steps["bias"] * deg[name]).sum(axis=0, keepdims=True)
+        pad = np.zeros_like(edges)
+        pad[:, col:col + 1] = steps[name] + np.repeat(g_deg, group, axis=0)
+        pads.append(pad)
+    expect["edges"] = pads[0] + pads[1]
 
-    x0_t = Tensor(x0.copy(), requires_grad=True)
-    terms = tuple(Tensor(v.copy(), requires_grad=True) for v in (a["msg_hb"], a["msg_sep"], bias))
-    out1 = step_flat(dec, x0_t, terms, idx)
-    out2 = step_flat(dec, out1, terms, idx)
-    out3 = step_flat(dec, Tensor(x2.copy()), terms, idx)
-    losses = [T.tsum(T.mul(o, g)) for o, g in zip((out1, out2, out3), gs)]
-    T.add(T.add(losses[0], losses[1]), losses[2]).backward()
+    edges_t = Tensor(edges.copy(), requires_grad=True)
+    preds = rollout_train(dec, windows, edges_t, 2, idx)
+    assert preds._parents == (edges_t, *dec.parameters().values())
+    linear_loss((preds, np.stack(gs))).backward()
 
-    for got, ref in zip((out1, out2, out3), (mu1, mu2, mu3)):
-        assert _same_bits(got.data, ref)
-    got = {"x0": x0_t.grad, "msg_hb": terms[0].grad, "msg_sep": terms[1].grad,
-           "bias": terms[2].grad, **{k: t.grad for k, t in params.items()}}
-    assert len(params) == 16  # all but the two message-head biases
+    assert _same_bits(preds.data, np.stack([mu1, mu2, mu3]))
+    got = {"edges": edges_t.grad, **{k: t.grad for k, t in params.items()}}
+    assert len(params) == 18
+    assert set(got) == set(expect)
     for name, ref in expect.items():
         assert _same_bits(got[name], ref), name
 
+
+# -- the Gumbel draw and the loss head ---------------------------------------------
+
+
+def _softmax_ref(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward_ref(g, out):
+    return out * (g - (g * out).sum(axis=1, keepdims=True))
+
+
+def loss_head_ref(logits, preds, windows, config, noise, g_edges):
+    """The Gumbel draw and the loss as the unfused ops computed them, and
+    their backward in the tape's order, from the edges' gradient
+    `g_edges`: (edges, parts, logits' gradient, predictions' gradient).
+    Each broadcast of a scalar gradient is a full array, as the chain's
+    sums passed it on."""
+    b, n, t, d = windows.shape
+    inv_b = 1.0 / b
+    q = _softmax_ref(logits)
+    s1 = np.log(q) - np.log(np.asarray(config.prior))
+    kl = np.sum(q * s1) * inv_b
+    edges = _softmax_ref((logits + noise) * (1.0 / config.tau))
+    diffs, total_sq = [], None
+    for i in range(t - 1):
+        diffs.append(preds[i] - windows[:, :, i + 1, :].reshape(b * n, d))
+        sq = np.sum(np.square(diffs[-1]))
+        total_sq = sq if total_sq is None else total_sq + sq
+    rec_scale = 1.0 / ((t - 1) * b * n * d)
+    rec = total_sq * rec_scale
+    q1, q2 = q[:, 1:2].copy(), q[:, 2:3].copy()
+    if config.sparsity_mode == L1:
+        s = q1 + q2
+        sparse = np.sum(np.abs(s)) * inv_b
+    else:
+        s = np.square(q1) + np.square(q2)
+        root = np.sqrt(s)
+        sparse = np.sum(root) * inv_b
+    total = (kl * config.lambda_kl + rec * config.lambda_rec) + sparse * config.lambda_sparse
+    parts = {"kl": kl, "reconstruction": rec, "sparsity": sparse, "total": total}
+
+    one = np.ones(())
+    g_sum = np.full(q.shape, (one * config.lambda_kl) * inv_b)
+    g_q = g_sum * s1
+    g_q = g_q + (g_sum * q) / q
+    g_s = np.full(s.shape, (one * config.lambda_sparse) * inv_b)
+    if config.sparsity_mode == L1:
+        g_q1 = g_q2 = g_s * np.sign(s)
+    else:
+        denom = 2.0 * root
+        g_s = np.where(s > 0.0, g_s / np.where(denom > 0.0, denom, 1.0), 0.0)
+        g_q1, g_q2 = 2.0 * g_s * q1, 2.0 * g_s * q2
+    for col, g_col in ((1, g_q1), (2, g_q2)):
+        pad = np.zeros_like(q)
+        pad[:, col:col + 1] = g_col
+        g_q = g_q + pad
+    g_logits = (_softmax_backward_ref(g_edges, edges) * (1.0 / config.tau)
+                + _softmax_backward_ref(g_q, q))
+    g_rec = np.full(preds[0].shape, (one * config.lambda_rec) * rec_scale)
+    g_preds = np.stack([2.0 * g_rec * diff for diff in diffs])
+    return edges, parts, g_logits, g_preds
+
+
+@pytest.mark.parametrize("mode", [L1, GROUP_LASSO])
+def test_loss_head_and_gumbel_node_match_unfused_chain_bitwise(mode, rng, monkeypatch):
+    """`composite_loss` with the encoder and the rollout replaced by nodes
+    that hand over fixed logits and predictions: the Gumbel node's edges,
+    the four loss parts, the logits' gradient (the KL, sparsity and Gumbel
+    paths) and the predictions' gradient agree with the op chain bit for
+    bit. A quarter of the windows and predictions are +0.0 or -0.0, some
+    predictions equal their targets, and -0.0 predictions meet +0.0
+    targets, so that errors of both zeros occur."""
+    b, n, t, d = 3, 4, 5, 2
+    windows = _with_signed_zeros(rng.normal(size=(b, n, t, d)), rng)
+    preds0 = _with_signed_zeros(rng.normal(size=(t - 1, b * n, d)), rng)
+    targets = windows[:, :, 1:, :].transpose(2, 0, 1, 3).reshape(preds0.shape)
+    preds0[:, ::5] = targets[:, ::5]
+    preds0[(targets == 0.0) & ~np.signbit(targets)] = -0.0
+    logits0 = rng.normal(scale=3.0, size=(b * n * (n - 1), 3))
+    noise = gumbel(rng, logits0.shape)
+    g_edges = rng.normal(size=logits0.shape)
+    config = TrainConfig(tau=0.7, prior=(0.6, 0.25, 0.15), sparsity_mode=mode,
+                         lambda_kl=1.3, lambda_rec=0.7, lambda_sparse=0.05)
+    model = ModelParams.create(rng, t, d, enc_hidden=8, dec_hidden=6, msg_dim=6)
+    logits = Tensor(logits0.copy(), requires_grad=True)
+    seen = {}
+
+    def fixed_rollout(params, windows, edges, k, idx):
+        seen["edges"] = edges.data.copy()
+
+        def backward(g):
+            seen["g_preds"] = g.copy()
+            edges._accumulate(g_edges.copy(), owned=True)
+
+        return T.node(preds0.copy(), (edges,), backward)
+
+    monkeypatch.setattr(training, "encode_logits", lambda *args, **kwargs: logits)
+    monkeypatch.setattr(training, "rollout_train", fixed_rollout)
+    loss, parts = composite_loss(model, windows, config, noise=noise)
+    loss.backward()
+
+    edges, expect, g_logits, g_preds = loss_head_ref(logits0, preds0, windows, config,
+                                                     noise, g_edges)
+    assert np.any((g_preds == 0.0) & np.signbit(g_preds))
+    assert np.any((g_preds == 0.0) & ~np.signbit(g_preds))
+    assert _same_bits(seen["edges"], edges)
+    assert set(parts) == set(expect)
+    for name, value in expect.items():
+        assert _same_bits(parts[name], value), name
+    assert _same_bits(loss.data, expect["total"])
+    assert _same_bits(logits.grad, g_logits)
+    assert _same_bits(seen["g_preds"], g_preds)
 
 
 # -- evaluation stays off the tape ------------------------------------------------
 
 
 def test_evaluation_builds_no_tape_node(rng, monkeypatch):
-    """Every parameter needs a gradient, so an op handed one records a
-    node. No evaluation entry point hands the tape a parameter: none of
-    them calls `_node` with a parent that needs a gradient. A training
-    forward afterwards shows that the count sees the encoder's node."""
-    recording = []
-    node = T._node
+    """Evaluation calls `T.node` nowhere but in a concrete `sample_edges`
+    draw, a Gumbel node over plain logits that records nothing. A training
+    batch then records exactly four nodes: the encoder, the Gumbel draw,
+    the rollout and the loss head."""
+    calls = []
+    node = T.node
 
     def counting(data, parents, backward):
-        parents = tuple(parents)
-        if any(p.requires_grad for p in parents):
-            recording.append(parents)
-        return node(data, parents, backward)
+        out = node(data, parents, backward)
+        calls.append(out.requires_grad)
+        return out
 
     model = ModelParams.create(rng, 4, 2, enc_hidden=8, dec_hidden=6, msg_dim=6)
     windows = rng.normal(size=(3, 4, 4, 2))
     edges = np.eye(3)[rng.integers(0, 3, size=(4, 4))]
     first = windows[0, :, 0, :]
-    monkeypatch.setattr(T, "_node", counting)
+    monkeypatch.setattr(T, "node", counting)
     encode_windows(model, windows)
     predict_windows(model, windows, 0.5, 0)
     posterior = encode(model.encoder, windows[0])
     step(model.decoder, first, edges)
     rollout(model.decoder, first, edges, 2, teacher=windows[0])
     rollout(model.decoder, first, edges, 2, n_steps=5)
-    for mode in (CONCRETE, CATEGORICAL_HARD):
-        sample_edges(posterior, 0.5, mode, rng)
-    assert len(recording) == 0
-    encode_logits(model.encoder, windows, training=True)
-    assert len(recording) == 1
+    sample_edges(posterior, 0.5, CATEGORICAL_HARD, rng)
+    assert calls == []
+    sample_edges(posterior, 0.5, CONCRETE, rng)
+    assert calls == [False]
+    composite_loss(model, windows, TrainConfig(k=2), rng=rng)
+    assert calls == [False] + [True] * 4

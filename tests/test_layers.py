@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbrca import tensor as T
+from hbrca.encoder import CATEGORICAL_HARD, CONCRETE, EdgePosterior, sample_edges
 from hbrca.errors import NumericalError, ParameterError
 from hbrca.layers import (
     BN_EPS,
@@ -18,7 +19,7 @@ from hbrca.layers import (
 )
 from hbrca.tensor import Tensor
 
-from conftest import central_difference
+from conftest import central_difference, linear_loss
 
 
 def make_mlp(w1, b1, w2, b2, activation="elu", bn=False):
@@ -147,6 +148,20 @@ def test_temperature_must_be_positive():
         gumbel_softmax(Tensor(np.zeros((1, 3))), tau=0.0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, True], ids=["nan", "inf", "True"])
+def test_temperature_must_be_a_finite_number(tau):
+    """nan gave NaN rows, inf uniform rows and True acted as 1, in both
+    sampling modes and through `sample_edges`."""
+    logits = np.array([[2.0, 0.0, -1.0]])
+    for hard in (False, True):
+        with pytest.raises(ParameterError, match="tau"):
+            gumbel_softmax(Tensor(logits), tau=tau, rng=np.random.default_rng(0), hard=hard)
+    posterior = EdgePosterior.from_flat(np.full((2, 3), 1.0 / 3.0), np.zeros((2, 3)), 2)
+    for mode in (CONCRETE, CATEGORICAL_HARD):
+        with pytest.raises(ParameterError, match="tau"):
+            sample_edges(posterior, tau, mode, np.random.default_rng(0))
+
+
 def test_hard_mode_frequencies_match_categorical():
     probs = np.array([0.2, 0.3, 0.5])
     logits = np.log(probs)
@@ -175,7 +190,7 @@ def test_gradient_flows_through_concrete_sample(rng):
     noise = rng.gumbel(size=(4, 3))
     logits = Tensor(logits0.copy(), requires_grad=True)
     y = gumbel_softmax(logits, tau=0.5, rng=None, noise=noise)
-    T.tsum(T.square(y)).backward()
+    linear_loss((y, 2.0 * y.data)).backward()  # d/dy of sum(y**2)
 
     def f(arr):
         yy = gumbel_softmax(Tensor(arr), tau=0.5, rng=None, noise=noise)

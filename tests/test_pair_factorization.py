@@ -11,7 +11,6 @@ swapped sender/receiver halves show up here.
 
 import numpy as np
 
-from hbrca import tensor as T
 from hbrca.decoder import DecoderParams, edge_terms, step_flat
 from hbrca.encoder import EncoderParams, encode_logits
 from hbrca.graph import pair_index
@@ -98,6 +97,6 @@ def test_batched_forward_matches_per_pair_concat_form(rng):
     idx = pair_index(N, B)
     positions = rng.normal(size=(B * N, d))
     edges = rng.dirichlet([1.0, 1.0, 1.0], size=B * N * (N - 1))
-    terms = edge_terms(T.Tensor(edges), dec.msg_hb_head.b, dec.msg_sep_head.b, idx)
-    got = step_flat(dec, T.Tensor(positions), terms, idx)
-    _assert_close(got.data, _decoder_reference(dec, positions, edges))
+    terms, _ = edge_terms(edges, dec.msg_hb_head.b.data, dec.msg_sep_head.b.data, idx)
+    got, _ = step_flat(dec, positions, terms, idx)
+    _assert_close(got, _decoder_reference(dec, positions, edges))

@@ -175,10 +175,10 @@ def test_composite_loss_parts_match_reference_losses(mode, rng):
     _, parts = composite_loss(model, windows, config, noise=noise)
 
     logits = encode_logits(model.encoder, windows, training=True)
-    q = T.softmax_rows(logits).data
+    q = T._softmax(logits.data)
     edges = gumbel_softmax(logits, config.tau, None, noise=noise)
     steps = rollout_train(model.decoder, windows, edges, config.k, pair_index(n, b))
-    pred = np.stack([mu.data.reshape(b, n, d) for mu in steps], axis=2)
+    pred = steps.data.reshape(t - 1, b, n, d).transpose(1, 2, 0, 3)
     expect = {
         "kl": loss_kl(q, config.prior) / b,
         "reconstruction": loss_reconstruction(pred, windows[:, :, 1:, :]),
