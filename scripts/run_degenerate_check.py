@@ -22,11 +22,10 @@ def main():
     config = TrainConfig.rca(seed=seed)
     ckpt = train(config, corpus, SplitSpec(seed=seed), log=print)
     model = ckpt.build_model()
-    report, _ = run_rca(model, corpus, k=2)
-    print(f"score: {report.score}")
-    print(f"max node score: {np.max(report.scores):.3e}")
-    print(f"no mechanism change detected: {report.no_change_detected}")
-    print(report.to_csv())
+    ranking, _ = run_rca(model, corpus, k=2)
+    print(f"max node score: {np.max(ranking.scores):.3e}")
+    print(f"no mechanism change detected: {ranking.no_change_detected}")
+    print(ranking.to_csv())
 
 
 if __name__ == "__main__":

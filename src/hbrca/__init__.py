@@ -3,7 +3,8 @@
 Learns a categorical edge-type posterior (non-causal / bonded /
 separation) with a variational encoder-decoder, predicts future states
 by k-step rollout, and ranks root-cause nodes of a regime change by
-per-node KL divergence between the two learned causal mechanisms.
+how far each node's incoming edge-type posterior moves between the
+persist and separated regimes.
 """
 
 from .corpus import (
@@ -24,7 +25,6 @@ from .rca import (
     RcaReport,
     expectation_distance,
     gaussian_kl,
-    node_scores,
     ranking_accuracy,
     run_rca,
     wasserstein2_gaussian,
@@ -42,6 +42,6 @@ __all__ = [
     "Tensor", "TrainConfig", "TrajectoryCorpus", "adam_step", "denormalize",
     "encode", "expectation_distance", "gaussian_kl", "gumbel_softmax",
     "label_hb_events", "loss_kl", "loss_reconstruction", "loss_sparsity",
-    "node_scores", "normalize", "predict_corpus", "ranking_accuracy", "rollout",
+    "normalize", "predict_corpus", "ranking_accuracy", "rollout",
     "run_rca", "sample_edges", "simulate", "step", "train", "window", "window_corpus",
 ]

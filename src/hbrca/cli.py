@@ -255,16 +255,29 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
         "rca_report.csv": report.to_csv(),
         "rca_accuracy.csv": accuracy_csv(rows),
     })
-    if report.no_change_detected:
-        print("no mechanism change detected")
     top_names = [corpus.atom_names[i] for i in report.top_k]
-    print(f"top-{top_k} root causes: {', '.join(top_names)}")
+    if report.no_change_detected:
+        print(f"no mechanism change detected: {_no_change_reason(corpus)}")
+    else:
+        print(f"top-{top_k} root causes: {', '.join(top_names)}")
     return {
         "corpus_hash": digest,
         "no_change_detected": report.no_change_detected,
-        "score": report.score,
         "top_k": top_names,
     }
+
+
+def _no_change_reason(corpus) -> str:
+    """Why an RCA run found no change: a regime it lacks, or regimes that match."""
+    if corpus.labels is None:
+        return "the corpus has no regime labels (0 persist and 0 separated windows)"
+    regimes = (corpus_mod.PERSIST, corpus_mod.SEPARATED)
+    counts = [len(corpus.labels.samples_in(r)) for r in regimes]
+    windows = f"{counts[0]} persist and {counts[1]} separated windows"
+    missing = " or ".join(r for r, count in zip(regimes, counts) if count == 0)
+    if missing:
+        return f"the corpus has no {missing} window ({windows})"
+    return f"the persist and separated regimes match ({windows})"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,8 +103,8 @@ def rca_recovery_run(seed: int, spec_kwargs: dict | None = None):
     spec = rca_recovery_spec(seed, **(spec_kwargs or {}))
     corpus = build_rca_corpus(spec, seed)
     checkpoint = train(recovery_config(seed), corpus, SplitSpec(seed=seed))
-    report, posterior = run_rca(checkpoint.build_model(), corpus, k=RECOVERY_TOP_K)
-    return report.accuracy, report.scores, posterior, spec
+    ranking, posterior = run_rca(checkpoint.build_model(), corpus, k=RECOVERY_TOP_K)
+    return ranking.accuracy, ranking.scores, posterior, spec
 
 
 def trend_spec(seed: int) -> ScmSpec:

@@ -1,8 +1,7 @@
 """Root-cause scoring from a trained edge-type posterior.
 
 A root cause of a persist -> separated regime change is a node whose
-incoming causal mechanisms change between the regimes. When the corpus
-labels hold both persist and separated windows, the score is the
+incoming causal mechanisms change between the regimes. The score is the
 regime contrast (after Budhathoki et al., "Why did the distribution
 change?", AISTATS 2021, which attributes a change in the joint
 distribution to changes in individual causal mechanisms):
@@ -12,14 +11,12 @@ distribution to changes in individual causal mechanisms):
 where qbar_r is the eval-mode edge-type posterior averaged over the
 windows of regime r and clipped at EPS. Statistically identical regimes
 give identical averages and a score of 0; a fixed asymmetry between the
-hb and sep channels, which both regimes share, cancels.
+hb and sep channels, which both regimes share, cancels. Scores are
+ranked descending.
 
-Corpora without both regimes (no labels, or one regime only) fall back
-to the channel score: each ordered edge (j -> i) carries two causal
-channel probabilities, p_hb (bonded mechanism) and p_sep (separation
-mechanism); the KL divergence from the separation channel's Bernoulli
-projection to the bonded one, summed over the incoming edges of node i,
-is computed per window and averaged. Either score is ranked descending.
+A corpus without both regimes (no labels, or one regime only) holds no
+change to explain, so every node scores 0 and the run reports no
+mechanism change.
 
 Ground truth on synthetic corpora fits per-node diagonal Gaussians on
 persist versus separated windows and ranks nodes by a distributional
@@ -34,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import PERSIST, SEPARATED, TrajectoryCorpus, format_rows
-from .encoder import EdgePosterior
 from .errors import DataError, ParameterError
 from .model import ModelParams, encode_windows, mean_posterior
 
@@ -42,50 +38,12 @@ NO_CHANGE_THRESHOLD = 1e-3
 # floor of every probability a score divides by or takes the log of
 EPS = 1e-8
 
-REGIME_CONTRAST_SCORE = "regime-contrast"
-CHANNEL_SCORE = "channel"
-
 KL_METRIC = "kl"
 WASSERSTEIN_METRIC = "wasserstein"
 EXPECTATION_METRIC = "expectation"
 ORACLE_METRICS = (KL_METRIC, WASSERSTEIN_METRIC, EXPECTATION_METRIC)
 
 _VAR_FLOOR = 1e-12
-
-
-def bernoulli_kl(p_new: np.ndarray, p_old: np.ndarray) -> np.ndarray:
-    """KL(B(p_new) || B(p_old)) elementwise; inputs must be in (0, 1)."""
-    return p_new * np.log(p_new / p_old) + (1.0 - p_new) * np.log(
-        (1.0 - p_new) / (1.0 - p_old)
-    )
-
-
-def _edge_kl(probs: np.ndarray) -> np.ndarray:
-    """Per-edge channel divergence for posterior rows [..., 3]."""
-    p_hb = np.clip(probs[..., 1], EPS, 1.0 - EPS)
-    p_sep = np.clip(probs[..., 2], EPS, 1.0 - EPS)
-    return bernoulli_kl(p_sep, p_hb)
-
-
-def node_scores(posterior: EdgePosterior) -> np.ndarray:
-    """Mechanism-change score per node from one posterior.
-
-    score(i) sums KL(B(p_sep) || B(p_hb)) over the incoming edges
-    (j -> i); channel probabilities are clipped to [EPS, 1 - EPS]
-    before the divergence so no zero can be hit.
-    """
-    n = posterior.n_nodes
-    kl = _edge_kl(posterior.probs)
-    off = ~np.eye(n, dtype=bool)
-    kl = np.where(off, kl, 0.0)
-    return kl.sum(axis=0)
-
-
-def node_scores_from_flat(probs_flat: np.ndarray, n_nodes: int):
-    """Vectorized per-window scores for stacked flat posteriors [S, E, 3]."""
-    kl = _edge_kl(probs_flat)
-    # receiver-major layout: incoming edges of each node are contiguous
-    return kl.reshape(kl.shape[0], n_nodes, n_nodes - 1).sum(axis=2)
 
 
 def regime_windows(corpus: TrajectoryCorpus):
@@ -97,13 +55,6 @@ def regime_windows(corpus: TrajectoryCorpus):
     if not persist or not separated:
         return None
     return persist, separated
-
-
-def score_kind(corpus: TrajectoryCorpus) -> str:
-    """Which score `rca_scores` uses on this corpus."""
-    if regime_windows(corpus) is None:
-        return CHANNEL_SCORE
-    return REGIME_CONTRAST_SCORE
 
 
 def regime_contrast_scores(
@@ -240,7 +191,6 @@ class RcaReport:
     atom_names: list
     k: int
     accuracy: dict = field(default_factory=dict)
-    score: str = CHANNEL_SCORE
 
     @property
     def order(self) -> list:
@@ -287,16 +237,15 @@ def aggregate_accuracy(per_seed: list) -> dict:
 def rca_scores(model: ModelParams, corpus: TrajectoryCorpus):
     """(per-node scores, window-averaged posterior) for a whole corpus.
 
-    Scores come from the eval-mode posterior: the regime contrast when
-    the labels hold both persist and separated windows, otherwise the
-    channel score per window averaged across windows (`score_kind`
-    names which). The averaged posterior is returned for the PCM matrix
-    export.
+    Scores are the regime contrast of the eval-mode posterior. Without
+    both persist and separated windows there is no change to explain,
+    and every score is 0. Every window is encoded either way, since the
+    averaged posterior is returned for the PCM matrix export.
     """
     probs, _ = encode_windows(model, corpus.positions)
     regimes = regime_windows(corpus)
     if regimes is None:
-        scores = node_scores_from_flat(probs, corpus.n_atoms).mean(axis=0)
+        scores = np.zeros(corpus.n_atoms)
     else:
         scores = regime_contrast_scores(probs, corpus.n_atoms, *regimes)
     return scores, mean_posterior(probs, corpus.n_atoms)
@@ -307,19 +256,12 @@ def run_rca(model: ModelParams, corpus: TrajectoryCorpus, k: int = 10):
     if k > corpus.n_atoms:
         raise ParameterError(f"k = {k} exceeds node count {corpus.n_atoms}")
     scores, posterior = rca_scores(model, corpus)
-    accuracy = {}
     try:
         oracle = GroundTruthOracle.fit(corpus)
-    except DataError:
-        oracle = None
-    model_topk = rank_descending(scores)[:k]
-    for metric in ORACLE_METRICS:
-        if oracle is None:
-            accuracy[metric] = None
-        else:
-            accuracy[metric] = ranking_accuracy(model_topk, oracle.top_k(metric, k), k)
-    report = RcaReport(
-        scores=scores, atom_names=list(corpus.atom_names), k=k, accuracy=accuracy,
-        score=score_kind(corpus),
-    )
+    except DataError:  # the corpus lacks a regime
+        accuracy = dict.fromkeys(ORACLE_METRICS)
+    else:
+        model_topk = rank_descending(scores)[:k]
+        accuracy = {m: ranking_accuracy(model_topk, oracle.top_k(m, k), k) for m in ORACLE_METRICS}
+    report = RcaReport(scores=scores, atom_names=list(corpus.atom_names), k=k, accuracy=accuracy)
     return report, posterior

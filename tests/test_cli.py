@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +96,9 @@ def run_pipeline(workdir, seed=3, epochs=2):
     return gen_dir, train_dir, pred_dir, eval_dir, rca_dir
 
 
-def test_full_pipeline_produces_expected_artifacts(workdir):
+def test_full_pipeline_produces_expected_artifacts(workdir, capsys):
     gen, train, pred, ev, rca = run_pipeline(workdir)
+    rca_out = capsys.readouterr().out
     assert (gen / "corpus.txt").exists()
     assert (gen / "config.json").exists()
     assert (train / "checkpoint.json").exists()
@@ -124,8 +126,15 @@ def test_full_pipeline_produces_expected_artifacts(workdir):
     report = (rca / "rca_report.csv").read_text().splitlines()
     assert report[0] == "rank,atom,score"
     assert len(report) == 1 + 5
-    # the labeled corpus holds both regimes, so the regime contrast is used
-    assert json.loads((rca / "config.json").read_text())["score"] == "regime-contrast"
+    # the labeled corpus holds both regimes, so the regime contrast scores it
+    assert any(float(row.split(",")[2]) > 0.0 for row in report[1:])
+    echo = json.loads((rca / "config.json").read_text())
+    assert "score" not in echo
+    if echo["no_change_detected"]:
+        assert "no mechanism change detected: the persist and separated regimes match" in rca_out
+        assert "root causes" not in rca_out
+    else:
+        assert f"top-2 root causes: {', '.join(echo['top_k'])}\n" in rca_out
 
 
 def test_pipeline_is_byte_deterministic(workdir):
@@ -370,39 +379,59 @@ def test_prediction_phase_echo_carries_table_defaults(workdir):
     assert "init_scheme" in echo
 
 
-def test_rca_without_both_regimes_reports_undefined_accuracy(workdir):
-    """A corpus whose windows all share one regime has no oracle; the
-    accuracy table must say so rather than invent values."""
+def test_rca_without_both_regimes_reports_undefined_accuracy(workdir, capsys):
+    """A corpus whose windows all share one regime, one whose labels give
+    no window a regime, and one with no regime labels at all hold no
+    change to explain: every score is 0, the run reports no change and
+    says why, and the accuracy table says that the oracle is undefined
+    rather than invent values."""
     doc = generate_config()
-    doc["generate"]["scm"]["change_set"] = []
-    doc["generate"]["scm"]["k_switch"] = 0.0
-    gen_dir = workdir / "gen"
+    doc["generate"]["scm"].update(change_set=[], k_switch=0.0, boundary_step=200)
     cfg = write_config(workdir / "gen.json", doc)
-    assert main(["generate", "--config", cfg, "--out", str(gen_dir)]) == 0
-    train_dir = workdir / "train"
-    tcfg = write_config(workdir / "train.json", {
-        "schema_version": 1,
-        "train": {
-            "corpus": str(gen_dir / "corpus.txt"),
-            "phase": "rca",
-            "config": {"epochs": 1, "batch_size": 16},
-        },
-    })
-    assert main(["train", "--config", tcfg, "--out", str(train_dir)]) == 0
-    rca_dir = workdir / "rca"
-    rca_section = {
-        "checkpoint": str(train_dir / "checkpoint.json"),
-        "corpus": str(gen_dir / "corpus.txt"),
+    assert main(["generate", "--config", cfg, "--out", str(workdir / "gen")]) == 0
+    one_regime = workdir / "gen" / "corpus.txt"
+    labeled = load(one_regime)
+    n_windows = labeled.n_samples
+    # the boundary lies past the last step, so every window is persist
+    assert labeled.labels.samples_in("persist") == list(range(n_windows))
+    no_window, unlabeled = workdir / "no_window.txt", workdir / "unlabeled.txt"
+    corpus_mod.save(replace(labeled, labels=replace(labeled.labels, regimes={})), no_window)
+    corpus_mod.save(replace(labeled, labels=None), unlabeled)
+    reasons = {
+        "one-regime": (one_regime, "the corpus has no separated window "
+                       f"({n_windows} persist and 0 separated windows)"),
+        "no-regime-window": (no_window, "the corpus has no persist or separated window "
+                             "(0 persist and 0 separated windows)"),
+        "unlabeled": (unlabeled, "the corpus has no regime labels "
+                      "(0 persist and 0 separated windows)"),
     }
-    # no top_k: the default of 10 is capped at the corpus's 5 atoms
-    rcfg = write_config(workdir / "rca.json", {"schema_version": 1, "rca": rca_section})
-    assert main(["rca", "--config", rcfg, "--out", str(rca_dir)]) == 0
-    acc = (rca_dir / "rca_accuracy.csv").read_text()
-    for metric in ("kl", "wasserstein", "expectation"):
-        assert f"{metric},na,na" in acc
-    echo = json.loads((rca_dir / "config.json").read_text())
-    assert echo["score"] == "channel"
-    assert len(echo["top_k"]) == 5
+    for name, (corpus, reason) in reasons.items():
+        train_dir = workdir / f"train-{name}"
+        tcfg = write_config(workdir / f"train-{name}.json", {
+            "schema_version": 1,
+            "train": {"corpus": str(corpus), "phase": "rca",
+                      "config": {"epochs": 1, "batch_size": 16}},
+        })
+        assert main(["train", "--config", tcfg, "--out", str(train_dir)]) == 0
+        rca_dir = workdir / f"rca-{name}"
+        rca_section = {"checkpoint": str(train_dir / "checkpoint.json"), "corpus": str(corpus)}
+        # no top_k: the default of 10 is capped at the corpus's 5 atoms
+        rcfg = write_config(workdir / f"rca-{name}.json", {"schema_version": 1, "rca": rca_section})
+        capsys.readouterr()
+        assert main(["rca", "--config", rcfg, "--out", str(rca_dir)]) == 0, name
+        out = capsys.readouterr().out
+        assert f"no mechanism change detected: {reason}\n" in out, name
+        assert "root causes" not in out, name
+        rows = _csv_rows(rca_dir / "rca_report.csv")
+        assert [float(r[2]) for r in rows] == [0.0] * 5, name
+        assert len(_csv_rows(rca_dir / "posterior.csv")) == 5 * 4, name
+        acc = (rca_dir / "rca_accuracy.csv").read_text()
+        for metric in ("kl", "wasserstein", "expectation"):
+            assert f"{metric},na,na" in acc, name
+        echo = json.loads((rca_dir / "config.json").read_text())
+        assert echo["no_change_detected"] is True, name
+        assert "score" not in echo, name
+        assert len(echo["top_k"]) == 5, name
     # an explicit top_k above the atom count is a config error
     rcfg = write_config(workdir / "rca6.json", {
         "schema_version": 1, "rca": dict(rca_section, top_k=6),

@@ -5,103 +5,109 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hbrca.encoder import EdgePosterior
 from hbrca.errors import DataError, ParameterError
 from hbrca.graph import pair_index
 from hbrca.rca import (
-    CHANNEL_SCORE,
-    REGIME_CONTRAST_SCORE,
     GroundTruthOracle,
     RcaReport,
     accuracy_csv,
     aggregate_accuracy,
-    bernoulli_kl,
     expectation_distance,
     gaussian_kl,
-    node_scores,
-    node_scores_from_flat,
     rank_descending,
     ranking_accuracy,
     rca_scores,
     regime_contrast_scores,
     run_rca,
-    score_kind,
     wasserstein2_gaussian,
 )
 
 
-def posterior_from_channels(p_hb: np.ndarray, p_sep: np.ndarray) -> EdgePosterior:
-    n = p_hb.shape[0]
-    probs = np.zeros((n, n, 3))
-    probs[..., 1] = p_hb
-    probs[..., 2] = p_sep
-    probs[..., 0] = 1.0 - p_hb - p_sep
-    off = ~np.eye(n, dtype=bool)
-    probs[~off] = 0.0
-    logits = np.log(np.clip(probs, 1e-12, None))
-    return EdgePosterior(probs, logits)
+def two_regimes(persist_rows: np.ndarray, separated_rows: np.ndarray):
+    """Flat posteriors [2, E, 3] of one persist and one separated window,
+    with their (persist, separated) window indices."""
+    return np.stack([persist_rows, separated_rows]), [0], [1]
 
 
-def test_identical_channels_score_zero():
-    p = np.full((4, 4), 0.3)
-    post = posterior_from_channels(p, p)
-    assert np.max(node_scores(post)) == 0.0
-
-
-def test_single_edge_bernoulli_arithmetic():
-    """One incoming edge with p_sep 0.9 vs p_hb 0.1."""
-    n = 2
-    p_hb = np.zeros((n, n))
-    p_sep = np.zeros((n, n))
-    p_hb[0, 1] = 0.1
-    p_sep[0, 1] = 0.9
-    p_hb[1, 0] = 0.4  # keep the reverse edge symmetric-channel
-    p_sep[1, 0] = 0.4
-    post = posterior_from_channels(p_hb, p_sep)
-    scores = node_scores(post)
-    expect = 0.9 * math.log(9.0) + 0.1 * math.log(1.0 / 9.0)
-    assert abs(scores[1] - expect) < 1e-9
-    assert abs(expect - 1.7578) < 1e-4
-    assert scores[0] < 1e-12
+def test_single_edge_regime_contrast_arithmetic():
+    """One incoming edge, 0 -> 1, moves from (0.5, 0.4, 0.1) to
+    (0.5, 0.1, 0.4); the edge 1 -> 0 stays put."""
+    still = [0.6, 0.2, 0.2]
+    probs, persist, separated = two_regimes(
+        np.array([still, [0.5, 0.4, 0.1]]), np.array([still, [0.5, 0.1, 0.4]])
+    )
+    assert pair_index(2).receivers.tolist() == [0, 1]
+    scores = regime_contrast_scores(probs, 2, persist, separated)
+    expect = 0.1 * math.log(0.25) + 0.4 * math.log(4.0)
+    assert abs(scores[1] - expect) < 1e-12
+    assert abs(expect - 0.4159) < 1e-4
+    assert scores[0] == 0.0
 
 
 def test_scores_use_incoming_edges():
+    """Only node 0's outgoing edges change: node 0 scores 0, and each
+    receiver of a changed edge scores above 0."""
     n = 3
-    p_hb = np.full((n, n), 0.1)
-    p_sep = np.full((n, n), 0.1)
-    p_sep[0, 2] = 0.8  # edge 0 -> 2 changed: node 2 is the target
-    post = posterior_from_channels(p_hb, p_sep)
-    scores = node_scores(post)
-    assert np.argmax(scores) == 2
-    assert scores[0] < 1e-12
+    idx = pair_index(n)
+    persist_rows = np.tile([0.8, 0.1, 0.1], (n * (n - 1), 1))
+    separated_rows = persist_rows.copy()
+    separated_rows[idx.senders == 0] = [0.2, 0.1, 0.7]
+    probs, persist, separated = two_regimes(persist_rows, separated_rows)
+    scores = regime_contrast_scores(probs, n, persist, separated)
+    assert scores[0] == 0.0
+    assert np.all(scores[1:] > 0.5)
 
 
 def test_extreme_probabilities_are_smoothed():
-    n = 2
-    p_hb = np.array([[0.0, 1.0], [0.0, 0.0]])
-    p_sep = np.array([[0.0, 0.0], [1.0, 0.0]])
-    post = posterior_from_channels(p_hb, p_sep)
-    scores = node_scores(post)
+    """One-hot posteriors, all non-causal before and all hb after, still
+    give finite scores: each regime mean is clipped at EPS."""
+    n = 3
+    e = n * (n - 1)
+    probs, persist, separated = two_regimes(np.tile([1.0, 0.0, 0.0], (e, 1)),
+                                            np.tile([0.0, 1.0, 0.0], (e, 1)))
+    scores = regime_contrast_scores(probs, n, persist, separated)
     assert np.all(np.isfinite(scores))
+    assert np.all(scores > 0.0)
 
 
-def test_score_zero_iff_channels_equal():
-    """Per-edge divergence is positive exactly when the smoothed
-    channels differ."""
+def test_score_zero_iff_regime_means_equal():
+    """A node's score is exactly 0 when its incoming edges have the same
+    regime means, and positive when they differ."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
+
+    def rows(p):
+        return np.tile([p, 0.7 * (1.0 - p), 0.3 * (1.0 - p)], (2, 1))
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-6),
            st.floats(min_value=1e-6, max_value=1 - 1e-6))
     def check(p, q):
-        kl = bernoulli_kl(np.array([p]), np.array([q]))[0]
-        if abs(p - q) < 1e-15:
-            assert kl < 1e-12
-        else:
-            assert kl > 0.0
+        probs, persist, separated = two_regimes(rows(p), rows(q))
+        scores = regime_contrast_scores(probs, 2, persist, separated)
+        if p == q:
+            assert np.all(scores == 0.0)
+        elif abs(p - q) > 1e-6:
+            assert np.all(scores > 0.0)
 
     check()
+
+
+def test_scores_are_permutation_equivariant(rng):
+    """Relabeling the atoms, with the pair rows reordered to match,
+    permutes the scores the same way."""
+    n, windows = 6, 7
+    idx = pair_index(n)
+    probs = rng.dirichlet([2.0, 1.0, 1.0], size=(windows, n * (n - 1)))
+    persist, separated = [0, 2, 3, 6], [1, 4, 5]
+    perm = rng.permutation(n)  # old atom a becomes atom perm[a]
+    inverse = np.argsort(perm)
+    row_of = {(s, r): e for e, (s, r) in enumerate(zip(idx.senders, idx.receivers))}
+    rows = [row_of[(inverse[s], inverse[r])] for s, r in zip(idx.senders, idx.receivers)]
+    scores = regime_contrast_scores(probs, n, persist, separated)
+    relabeled = regime_contrast_scores(probs[:, rows], n, persist, separated)
+    assert not np.allclose(scores, scores[0])
+    assert np.allclose(relabeled[perm], scores, rtol=1e-12, atol=0.0)
 
 
 def test_ranking_invariant_under_monotone_transform(rng):
@@ -122,8 +128,6 @@ def test_identical_regime_posteriors_score_zero(rng):
     probs = np.concatenate([windows, windows])
     scores = regime_contrast_scores(probs, n, list(range(6)), list(range(6, 12)))
     assert np.max(np.abs(scores)) == 0.0
-    # the channel score sees the asymmetry the contrast cancels
-    assert np.min(node_scores_from_flat(probs, n).mean(axis=0)) > 0.0
 
 
 def test_changed_incoming_edge_ranks_receiver_first(rng):
@@ -143,7 +147,9 @@ def test_changed_incoming_edge_ranks_receiver_first(rng):
     assert scores[sender] < 1e-3
 
 
-def _tiny_model_and_corpus(regimes):
+def _tiny_model_and_corpus(regimes, labeled=True):
+    """A random model and a 3-atom corpus of one window per entry of
+    `regimes`, labeled with them unless `labeled` is false."""
     from hbrca.corpus import RegimeLabels, TrajectoryCorpus
     from hbrca.model import ModelParams
 
@@ -154,21 +160,28 @@ def _tiny_model_and_corpus(regimes):
     corpus = TrajectoryCorpus(
         positions=np.random.default_rng(1).normal(size=(len(regimes), 3, 3, 2)),
         atom_names=["a", "b", "c"],
-        labels=RegimeLabels(regimes=dict(enumerate(regimes))),
+        labels=RegimeLabels(regimes=dict(enumerate(regimes))) if labeled else None,
     )
     return model, corpus
 
 
-def test_single_regime_corpus_falls_back_to_channel_score():
-    from hbrca.model import encode_windows
+@pytest.mark.parametrize("regimes,labeled", [
+    (["persist"] * 4, True), (["separated"] * 3, True), (["persist", "separated"] * 2, False),
+], ids=["persist-only", "separated-only", "unlabeled"])
+def test_corpus_without_both_regimes_scores_zero(regimes, labeled):
+    """No change to explain: every score is 0, the report flags no change
+    and has no oracle accuracy, and the posterior still averages every
+    window."""
+    from hbrca.model import encode_windows, mean_posterior
 
-    model, corpus = _tiny_model_and_corpus(["persist"] * 4)
-    assert score_kind(corpus) == CHANNEL_SCORE
+    model, corpus = _tiny_model_and_corpus(regimes, labeled)
     probs, _ = encode_windows(model, corpus.positions)
-    scores, _ = rca_scores(model, corpus)
-    assert np.array_equal(scores, node_scores_from_flat(probs, 3).mean(axis=0))
+    scores, posterior = rca_scores(model, corpus)
+    assert np.array_equal(scores, np.zeros(3))
+    assert np.array_equal(posterior.probs, mean_posterior(probs, 3).probs)
     report, _ = run_rca(model, corpus, k=2)
-    assert report.score == CHANNEL_SCORE
+    assert report.no_change_detected
+    assert report.accuracy == {"kl": None, "wasserstein": None, "expectation": None}
 
 
 def test_two_regime_corpus_uses_regime_contrast():
@@ -176,13 +189,13 @@ def test_two_regime_corpus_uses_regime_contrast():
 
     regimes = ["persist", "persist", "separated", "separated", "persist"]
     model, corpus = _tiny_model_and_corpus(regimes)
-    assert score_kind(corpus) == REGIME_CONTRAST_SCORE
     probs, _ = encode_windows(model, corpus.positions)
     scores, _ = rca_scores(model, corpus)
     expect = regime_contrast_scores(probs, 3, [0, 1, 4], [2, 3])
     assert np.array_equal(scores, expect)
     report, _ = run_rca(model, corpus, k=2)
-    assert report.score == REGIME_CONTRAST_SCORE
+    assert np.array_equal(report.scores, expect)
+    assert all(value is not None for value in report.accuracy.values())
 
 
 # -- closed-form distances ---------------------------------------------------------

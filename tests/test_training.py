@@ -26,7 +26,7 @@ from hbrca.training import (
     write_metrics_csv,
 )
 
-from conftest import directional_difference, relative_error
+from conftest import central_difference, directional_difference, relative_error
 
 
 def make_corpus(rng, s=12, n=4, t=5, d=3):
@@ -189,6 +189,45 @@ def test_composite_loss_parts_match_reference_losses(mode, rng):
                        + config.lambda_sparse * expect["sparsity"])
     for name, value in expect.items():
         assert abs(parts[name] - value) <= 1e-12 * abs(value), name
+
+
+@pytest.mark.parametrize("mode", [L1, GROUP_LASSO])
+def test_loss_head_gradient_in_q_matches_finite_differences(mode, rng, monkeypatch):
+    """The loss head's gradient in the posterior q, taken where it enters
+    the softmax backward, against central differences of
+    lambda_kl * KL(q || prior) / B + lambda_sparse * sparsity(q) / B in
+    each entry of q. The softmax backward removes any per-row constant
+    (q's rows sum to 1), so the finite-difference checks through the
+    parameters cannot see an error of that kind here."""
+    b, n, t, d = 3, 4, 5, 2
+    windows = rng.normal(size=(b, n, t, d))
+    config = TrainConfig(prior=(0.6, 0.25, 0.15), k=2, sparsity_mode=mode,
+                         lambda_kl=1.3, lambda_rec=0.7, lambda_sparse=0.05)
+    model = ModelParams.create(rng, t_window=t, n_dims=d, enc_hidden=8,
+                               dec_hidden=6, msg_dim=6)
+    noise = gumbel(rng, (b * n * (n - 1), 3))
+    calls = []
+    softmax_backward = T._softmax_backward
+
+    def spy(g, out):
+        calls.append((g.copy(), out.copy()))
+        return softmax_backward(g, out)
+
+    monkeypatch.setattr(T, "_softmax_backward", spy)
+    loss, _ = composite_loss(model, windows, config, noise=noise)
+    loss.backward()
+    # the head's backward runs first, then the Gumbel node's
+    assert len(calls) == 2
+    g_q, q = calls[0]
+    logits = encode_logits(model.encoder, windows, training=True)
+    assert np.array_equal(q, T._softmax(logits.data))
+
+    def head(q):
+        return (config.lambda_kl * loss_kl(q, config.prior)
+                + config.lambda_sparse * loss_sparsity(q, mode)) / b
+
+    fd = central_difference(head, q.copy(), h=1e-6)
+    assert np.max(np.abs(g_q - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
 def test_degenerate_objective_keeps_params_near_init(rng):
