@@ -22,18 +22,27 @@ from . import metrics as metrics_mod
 from .encoder import export_posterior_csv
 from .errors import ConfigError, DataError, HbrcaError, NumericalError, ParameterError, check_number
 from .model import predict_corpus
-from .rca import accuracy_csv, run_rca
+from .rca import accuracy_csv, aggregate_accuracy, run_rca
 from .springs import ScmSpec, simulate
 from .training import Checkpoint, SplitSpec, TrainConfig, train, write_metrics_csv
 
 SCHEMA_VERSION = 1
 
-_SECTION_KEYS = {
-    "generate": {"scm", "t_total", "window", "seed", "normalize"},
-    "train": {"corpus", "phase", "config", "split", "normalize"},
-    "predict": {"checkpoint", "corpus", "normalize", "seed"},
-    "evaluate": {"truth", "predicted"},
-    "rca": {"checkpoint", "corpus", "top_k", "normalize"},
+_SEED = ("--seed", dict(type=int, help="override run seed"))
+_ALLOW_MISMATCH = ("--allow-hash-mismatch", dict(
+    action="store_true", help="proceed when the corpus hash differs from the checkpoint's"))
+
+# each command's section keys (required, then optional) and its flags
+# beyond --config and --out; `main` runs the command as `cmd_<name>`
+_COMMANDS = {
+    "generate": dict(required=("scm", "t_total"), optional=("window", "seed", "normalize"),
+                     flags=(_SEED,)),
+    "train": dict(required=("corpus",), optional=("phase", "config", "split"), flags=(_SEED,)),
+    "predict": dict(required=("checkpoint", "corpus"), optional=("seed",),
+                    flags=(_SEED, _ALLOW_MISMATCH)),
+    "evaluate": dict(required=("truth", "predicted"), optional=(), flags=()),
+    "rca": dict(required=("checkpoint", "corpus"), optional=("top_k",),
+                flags=(_ALLOW_MISMATCH,)),
 }
 
 # check_number bounds of the numbers a section may hold (`window` may be null)
@@ -57,7 +66,7 @@ def load_run_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - {"schema_version"} - set(_SECTION_KEYS)
+    unknown = set(doc) - {"schema_version"} - set(_COMMANDS)
     if unknown:
         raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -70,16 +79,16 @@ def load_run_config(path: str, command: str) -> dict:
     section = doc[command]
     if not isinstance(section, dict):
         raise ConfigError(f"'{command}' section must be an object")
-    unknown = set(section) - _SECTION_KEYS[command]
+    spec = _COMMANDS[command]
+    unknown = set(section) - set(spec["required"]) - set(spec["optional"])
     if unknown:
         raise ConfigError(f"unknown '{command}' keys {sorted(unknown)}")
+    for key in spec["required"]:
+        if key not in section:
+            raise ConfigError(f"'{command}' section requires '{key}'")
     for key in _NUMBERS.keys() & section.keys():
         if not (key == "window" and section[key] is None):
             _config(f"{command}.{key}", check_number, key, section[key], **_NUMBERS[key])
-    if not isinstance(section.get("normalize", True), bool):
-        raise ConfigError(
-            f"'{command}.normalize' must be true or false, got {section['normalize']!r}"
-        )
     return section
 
 
@@ -101,13 +110,6 @@ def write_echo(out_dir: str, command: str, section: dict, extra: dict) -> None:
         fh.write("\n")
 
 
-def _load_corpus(path: str, do_normalize: bool):
-    corpus = corpus_mod.load(path)
-    if do_normalize:
-        corpus = corpus_mod.normalize(corpus)
-    return corpus
-
-
 def _write_tables(out_dir: str, tables: dict) -> None:
     """Write each table's text to the file of its name in `out_dir`."""
     for name, content in tables.items():
@@ -115,9 +117,9 @@ def _write_tables(out_dir: str, tables: dict) -> None:
             fh.write(content)
 
 
-def _checked_corpus(section: dict, checkpoint: Checkpoint, allow_mismatch: bool):
-    """The section's corpus (normalized unless turned off) and its canonical
-    hash. It must be the checkpoint's training corpus (unless allowed) and
+def _checked_corpus(section: dict, checkpoint: Checkpoint, args):
+    """The section's corpus, normalized, and its canonical hash. It must be
+    the checkpoint's training corpus (unless --allow-hash-mismatch) and
     have the window length and dimension the checkpoint was built for.
 
     The hash of the file's text is the canonical hash when it equals the
@@ -128,13 +130,11 @@ def _checked_corpus(section: dict, checkpoint: Checkpoint, allow_mismatch: bool)
     """
     text = corpus_mod.read_text(section["corpus"])
     parsed = corpus_mod.loads(text)
-    corpus = parsed
-    if section.get("normalize", True):
-        corpus = corpus_mod.normalize(parsed)
+    corpus = corpus_mod.normalize(parsed)
     digest = corpus_mod.hash_content(text)
     if digest != checkpoint.corpus_hash or not np.array_equal(corpus.positions, parsed.positions):
         digest = corpus_mod.corpus_hash(corpus)
-    if checkpoint.corpus_hash != digest and not allow_mismatch:
+    if checkpoint.corpus_hash != digest and not args.allow_hash_mismatch:
         raise DataError(
             "corpus hash does not match the checkpoint's training corpus "
             f"({digest[:12]}... vs {checkpoint.corpus_hash[:12]}...); "
@@ -152,15 +152,16 @@ def _checked_corpus(section: dict, checkpoint: Checkpoint, allow_mismatch: bool)
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_generate(section: dict, out_dir: str, seed_override) -> dict:
-    if "scm" not in section or "t_total" not in section:
-        raise ConfigError("generate section requires 'scm' and 't_total'")
-    seed = section.get("seed", 0) if seed_override is None else seed_override
+def cmd_generate(section: dict, out_dir: str, args) -> dict:
+    do_normalize = section.get("normalize", True)
+    if not isinstance(do_normalize, bool):
+        raise ConfigError(f"'generate.normalize' must be true or false, got {do_normalize!r}")
+    seed = section.get("seed", 0) if args.seed is None else args.seed
     spec = _config("generate.scm", ScmSpec.from_dict, section["scm"])
     corpus, _ = simulate(spec, section["t_total"], seed)
     if section.get("window") is not None:
         corpus = _config("generate.window", corpus_mod.window_corpus, corpus, section["window"])
-    if section.get("normalize", True):
+    if do_normalize:
         corpus = corpus_mod.normalize(corpus)
     digest = corpus_mod.save(corpus, os.path.join(out_dir, "corpus.txt"))
     print(f"generated {corpus.n_samples} samples of "
@@ -168,10 +169,8 @@ def cmd_generate(section: dict, out_dir: str, seed_override) -> dict:
     return {"corpus_hash": digest, "seed": seed}
 
 
-def cmd_train(section: dict, out_dir: str, seed_override) -> dict:
-    if "corpus" not in section:
-        raise ConfigError("train section requires 'corpus'")
-    corpus = _load_corpus(section["corpus"], section.get("normalize", True))
+def cmd_train(section: dict, out_dir: str, args) -> dict:
+    corpus = corpus_mod.normalize(corpus_mod.load(section["corpus"]))
     phase = section.get("phase", "prediction")
     if phase == "prediction":
         build = functools.partial(TrainConfig.prediction, corpus.n_steps)
@@ -179,7 +178,7 @@ def cmd_train(section: dict, out_dir: str, seed_override) -> dict:
         build = TrainConfig.rca
     else:
         raise ConfigError(f"unknown training phase '{phase}'")
-    seed = {} if seed_override is None else {"seed": seed_override}
+    seed = {} if args.seed is None else {"seed": args.seed}
     config = _config("train.config", lambda: build(**{**section.get("config", {}), **seed}))
     split = None
     if "split" in section:
@@ -196,13 +195,10 @@ def cmd_train(section: dict, out_dir: str, seed_override) -> dict:
     }
 
 
-def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> dict:
-    for key in ("checkpoint", "corpus"):
-        if key not in section:
-            raise ConfigError(f"predict section requires '{key}'")
+def cmd_predict(section: dict, out_dir: str, args) -> dict:
     checkpoint = Checkpoint.load(section["checkpoint"])
-    corpus, digest = _checked_corpus(section, checkpoint, allow_mismatch)
-    seed = section.get("seed", 0) if seed_override is None else seed_override
+    corpus, digest = _checked_corpus(section, checkpoint, args)
+    seed = section.get("seed", 0) if args.seed is None else args.seed
     model = checkpoint.build_model()
     predicted = predict_corpus(model, corpus, checkpoint.config.tau, seed)
     corpus_mod.save(predicted, os.path.join(out_dir, "predicted.txt"))
@@ -210,16 +206,19 @@ def cmd_predict(section: dict, out_dir: str, seed_override, allow_mismatch) -> d
     return {"corpus_hash": digest, "seed": seed}
 
 
-def cmd_evaluate(section: dict, out_dir: str) -> dict:
-    for key in ("truth", "predicted"):
-        if key not in section:
-            raise ConfigError(f"evaluate section requires '{key}'")
-    truth = _load_corpus(section["truth"], do_normalize=False)
-    pred = _load_corpus(section["predicted"], do_normalize=False)
+def cmd_evaluate(section: dict, out_dir: str, args) -> dict:
+    """Tables of `predicted` against `truth`, normalized as `predict` normalized its input."""
+    truth = corpus_mod.normalize(corpus_mod.load(section["truth"]))
+    pred = corpus_mod.load(section["predicted"])
     if truth.positions.shape != pred.positions.shape:
         raise DataError(
             f"truth {truth.positions.shape} and predicted "
             f"{pred.positions.shape} extents differ"
+        )
+    if truth.normalization_scale != pred.normalization_scale:
+        raise DataError(
+            f"truth normalization_scale {truth.normalization_scale!r} and predicted "
+            f"normalization_scale {pred.normalization_scale!r} differ"
         )
     err_mse = metrics_mod.mse(pred.positions[:, :, 1:, :], truth.positions[:, :, 1:, :])
     err_mae = metrics_mod.mae(pred.positions[:, :, 1:, :], truth.positions[:, :, 1:, :])
@@ -233,12 +232,9 @@ def cmd_evaluate(section: dict, out_dir: str) -> dict:
     return {"corpus_hash": corpus_mod.corpus_hash(truth)}
 
 
-def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
-    for key in ("checkpoint", "corpus"):
-        if key not in section:
-            raise ConfigError(f"rca section requires '{key}'")
+def cmd_rca(section: dict, out_dir: str, args) -> dict:
     checkpoint = Checkpoint.load(section["checkpoint"])
-    corpus, digest = _checked_corpus(section, checkpoint, allow_mismatch)
+    corpus, digest = _checked_corpus(section, checkpoint, args)
     top_k = section.get("top_k", min(10, corpus.n_atoms))
     if not 1 <= top_k <= corpus.n_atoms:
         raise ConfigError(
@@ -246,14 +242,10 @@ def cmd_rca(section: dict, out_dir: str, allow_mismatch) -> dict:
         )
     model = checkpoint.build_model()
     report, posterior = run_rca(model, corpus, k=top_k)
-    rows = {
-        metric: (None if value is None else (value, 0.0))
-        for metric, value in report.accuracy.items()
-    }
     _write_tables(out_dir, {
         "posterior.csv": export_posterior_csv(posterior),
         "rca_report.csv": report.to_csv(),
-        "rca_accuracy.csv": accuracy_csv(rows),
+        "rca_accuracy.csv": accuracy_csv(aggregate_accuracy([report.accuracy])),
     })
     top_names = [corpus.atom_names[i] for i in report.top_k]
     if report.no_change_detected:
@@ -287,17 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
         "root-cause ranking for multi-entity trajectories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SECTION_KEYS:
+    for name, spec in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run config")
         cmd.add_argument("--out", required=True, help="output directory")
-        if name in ("generate", "train", "predict"):
-            cmd.add_argument("--seed", type=int, help="override run seed")
-        if name in ("predict", "rca"):
-            cmd.add_argument(
-                "--allow-hash-mismatch", action="store_true",
-                help="proceed when the corpus hash differs from the checkpoint's",
-            )
+        for flag, options in spec["flags"]:
+            cmd.add_argument(flag, **options)
     return parser
 
 
@@ -308,16 +295,8 @@ def main(argv=None) -> int:
             _config("--seed", check_number, "seed", args.seed, integer=True, minimum=0)
         section = load_run_config(args.config, args.command)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "generate":
-            extra = cmd_generate(section, args.out, args.seed)
-        elif args.command == "train":
-            extra = cmd_train(section, args.out, args.seed)
-        elif args.command == "predict":
-            extra = cmd_predict(section, args.out, args.seed, args.allow_hash_mismatch)
-        elif args.command == "evaluate":
-            extra = cmd_evaluate(section, args.out)
-        else:
-            extra = cmd_rca(section, args.out, args.allow_hash_mismatch)
+        # looked up at call time, so a wrapper rebound on the module runs
+        extra = globals()[f"cmd_{args.command}"](section, args.out, args)
         write_echo(args.out, args.command, section, extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

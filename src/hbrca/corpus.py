@@ -30,8 +30,6 @@ from .rng import substream
 
 PERSIST = "persist"
 SEPARATED = "separated"
-# a window (or sample) is persist when at least PERSIST_MIN of its steps are
-# on the bonded side, separated when at most SEPARATED_MAX are, else unlabeled
 PERSIST_MIN = 0.9
 SEPARATED_MAX = 0.1
 
@@ -149,6 +147,17 @@ def denormalize(corpus: TrajectoryCorpus) -> TrajectoryCorpus:
     )
 
 
+def regime_of(bonded_fraction: float):
+    """The regime of a window (or sample) with `bonded_fraction` of its
+    steps on the bonded side: PERSIST from PERSIST_MIN up, SEPARATED up
+    to SEPARATED_MAX, else None (unlabeled)."""
+    if bonded_fraction >= PERSIST_MIN:
+        return PERSIST
+    if bonded_fraction <= SEPARATED_MAX:
+        return SEPARATED
+    return None
+
+
 def window(long_trajectory: np.ndarray, t_window: int) -> np.ndarray:
     """Cut [N, T_total, D] into floor(T_total / T) non-overlapping windows.
 
@@ -171,9 +180,8 @@ def window(long_trajectory: np.ndarray, t_window: int) -> np.ndarray:
 def window_corpus(corpus: TrajectoryCorpus, t_window: int) -> TrajectoryCorpus:
     """Window every sample and derive per-window regime labels.
 
-    A window counts as persist when at least PERSIST_MIN of its steps
-    fall before the boundary, separated when at most SEPARATED_MAX do,
-    and is left unlabeled otherwise.
+    A window's regime is `regime_of` the fraction of its steps that fall
+    before the boundary.
     """
     parts = [window(corpus.positions[s], t_window) for s in range(corpus.n_samples)]
     stacked = np.concatenate(parts, axis=0)
@@ -189,12 +197,9 @@ def window_corpus(corpus: TrajectoryCorpus, t_window: int) -> TrajectoryCorpus:
             per_sample = corpus.n_steps // t_window
             for s in range(corpus.n_samples):
                 for w in range(per_sample):
-                    frac_pre = min(max((b - w * t_window) / t_window, 0.0), 1.0)
-                    idx = s * per_sample + w
-                    if frac_pre >= PERSIST_MIN:
-                        labels.regimes[idx] = PERSIST
-                    elif frac_pre <= SEPARATED_MAX:
-                        labels.regimes[idx] = SEPARATED
+                    regime = regime_of(min(max((b - w * t_window) / t_window, 0.0), 1.0))
+                    if regime is not None:
+                        labels.regimes[s * per_sample + w] = regime
     return replace(corpus, positions=stacked, labels=labels)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .corpus import PERSIST_MIN, SEPARATED_MAX, RegimeLabels, TrajectoryCorpus
+from .corpus import RegimeLabels, TrajectoryCorpus, regime_of
 from .errors import ConfigError, InstabilityError, ParameterError, check_number
 from .rng import substream
 
@@ -212,9 +212,9 @@ def label_hb_events(corpus: TrajectoryCorpus, criterion: HbCriterion) -> RegimeL
     """Label each sample persist/separated from its bond indicator.
 
     Requires donor/hydrogen/acceptor roles in the corpus metadata; with
-    several role triples the indicator is their conjunction. Samples
-    where the bond holds at least PERSIST_MIN of the time are persist,
-    at most SEPARATED_MAX separated, anything between is dropped.
+    several role triples the indicator is their conjunction. A sample's
+    regime is `regime_of` the fraction of steps the bond holds; a sample
+    of neither regime is dropped.
     """
     if not corpus.roles:
         raise ConfigError("corpus metadata does not designate donor/H/acceptor roles")
@@ -234,9 +234,7 @@ def label_hb_events(corpus: TrajectoryCorpus, criterion: HbCriterion) -> RegimeL
                 corpus.positions[s, int(triple["acceptor"])],
                 criterion,
             )
-        frac = held.mean()
-        if frac >= PERSIST_MIN:
-            labels.regimes[s] = "persist"
-        elif frac <= SEPARATED_MAX:
-            labels.regimes[s] = "separated"
+        regime = regime_of(held.mean())
+        if regime is not None:
+            labels.regimes[s] = regime
     return labels

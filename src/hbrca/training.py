@@ -317,7 +317,7 @@ class Checkpoint:
                 atom_names=doc["atom_names"],
                 normalization_scale=doc["normalization_scale"],
                 history=doc["history"],
-                init_scheme=doc.get("init_scheme", INIT_SCHEME),
+                init_scheme=doc["init_scheme"],
             )
         except (LookupError, TypeError, ValueError, ConfigError, ParameterError) as exc:
             raise DataError(f"malformed checkpoint {path}: {exc!r}") from exc

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hbrca import corpus as corpus_mod
-from hbrca.cli import main
+from hbrca.cli import _COMMANDS, main
 from hbrca.corpus import load, normalize
 from hbrca.rca import run_rca
 from hbrca.training import Checkpoint
@@ -51,10 +51,13 @@ def generate_config(seed=3):
     }
 
 
-def run_pipeline(workdir, seed=3, epochs=2):
-    """generate -> train -> predict -> evaluate -> rca, tiny budgets."""
+def run_pipeline(workdir, seed=3, epochs=2, normalize_file=True):
+    """generate -> train -> predict -> evaluate -> rca, tiny budgets.
+    `generate` writes its corpus normalized unless `normalize_file` is off."""
     gen_dir = workdir / "gen"
-    cfg = write_config(workdir / "gen.json", generate_config(seed))
+    doc = generate_config(seed)
+    doc["generate"]["normalize"] = normalize_file
+    cfg = write_config(workdir / "gen.json", doc)
     assert main(["generate", "--config", cfg, "--out", str(gen_dir)]) == 0
     corpus_path = str(gen_dir / "corpus.txt")
 
@@ -187,6 +190,32 @@ def test_every_table_float_reads_back_exactly(workdir):
     assert [float(r[2]) for r in rows] == report.scores[report.order].tolist()
 
 
+def test_evaluate_normalizes_a_raw_truth_as_predict_did(workdir, capsys):
+    """On a corpus file in raw units, train, predict and evaluate all use
+    the normalized corpus: the errors are in the units of the predicted
+    file, and the three echoes carry one hash. A predicted file of another
+    normalization_scale is a data error naming both scales."""
+    gen, train_dir, pred, ev, _ = run_pipeline(workdir, epochs=1, normalize_file=False)
+    raw = load(gen / "corpus.txt")
+    assert raw.normalization_scale == 1.0 and np.max(np.abs(raw.positions)) != 1.0
+    truth = normalize(raw).positions[:, :, 1:]
+    predicted = load(pred / "predicted.txt")
+    (mse, mae), = _csv_rows(ev / "errors.csv")
+    assert float(mse) == float(np.mean((predicted.positions[:, :, 1:] - truth) ** 2))
+    assert float(mae) == float(np.mean(np.abs(predicted.positions[:, :, 1:] - truth)))
+    assert _echoed_hash(train_dir) == _echoed_hash(pred) == _echoed_hash(ev)
+
+    other_scale = 2.0 * predicted.normalization_scale
+    other = workdir / "other_scale.txt"
+    corpus_mod.save(replace(predicted, normalization_scale=other_scale), other)
+    ecfg = write_config(workdir / "e2.json", {"schema_version": 1, "evaluate": {
+        "truth": str(gen / "corpus.txt"), "predicted": str(other)}})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", ecfg, "--out", str(workdir / "e2")]) == 3
+    err = capsys.readouterr().err
+    assert repr(predicted.normalization_scale) in err and repr(other_scale) in err
+
+
 def test_generate_with_zero_noise_two_body_matches_oracle(workdir):
     """CLI-level check of the closed-form two-body contraction."""
     cfg = {
@@ -259,6 +288,22 @@ def test_bad_train_section_value_gives_exit_2(workdir, key, value, capsys):
     })
     assert main(["train", "--config", path, "--out", str(workdir / "o")]) == 2
     assert f"train.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, spec in _COMMANDS.items() for key in spec["required"]
+])
+def test_missing_required_key_gives_exit_2(tmp_path, command, key, capsys):
+    """A section without one of its required keys is a config error naming
+    the key, raised before any file the section names is read."""
+    if command == "generate":
+        section = dict(generate_config()["generate"])
+    else:
+        section = {k: str(tmp_path / f"{k}.txt") for k in _COMMANDS[command]["required"]}
+    del section[key]
+    path = write_config(tmp_path / "c.json", {"schema_version": 1, command: section})
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{command}' section requires '{key}'" in capsys.readouterr().err
 
 
 def test_missing_section_gives_exit_2(workdir):
@@ -500,13 +545,13 @@ def trained(tmp_path_factory):
     ("rca", {"epsilon": 0.7}, [], "epsilon"),
     ("predict", {"allow_hash_mismatch": "false"}, [], "allow_hash_mismatch"),
     ("rca", {"allow_hash_mismatch": True}, [], "allow_hash_mismatch"),
-    ("train", {"normalize": "false"}, [], "normalize"),
-    ("predict", {"normalize": "false"}, [], "normalize"),
-    ("rca", {"normalize": 0}, [], "normalize"),
+    ("train", {"normalize": False}, [], "normalize"),
+    ("predict", {"normalize": False}, [], "normalize"),
+    ("rca", {"normalize": True}, [], "normalize"),
 ], ids=["train-seed-negative", "predict-seed-negative", "seed-flag-negative",
         "rca-epsilon-0", "rca-top_k-text", "rca-top_k-fraction", "rca-epsilon-0.7",
-        "predict-allow_hash_mismatch", "rca-allow_hash_mismatch", "train-normalize-text",
-        "predict-normalize-text", "rca-normalize-0"])
+        "predict-allow_hash_mismatch", "rca-allow_hash_mismatch", "train-normalize-unknown-key",
+        "predict-normalize-unknown-key", "rca-normalize-unknown-key"])
 def test_bad_section_value_gives_exit_2(trained, tmp_path, command, values, flags, key,
                                         capsys):
     corpus, checkpoint = trained
@@ -583,9 +628,12 @@ def test_non_canonical_file_of_the_training_corpus_echoes_the_canonical_hash(
 
 
 def test_normalize_that_changes_the_corpus_gets_a_fresh_hash(workdir, capsys):
-    """Trained on an unnormalized corpus with normalize off, then read with
-    normalize on: the file's text is the training corpus, the corpus used
-    is not, so the hashes must not match."""
+    """A corpus file in raw units. `train` normalizes it and stores the
+    hash of the normalized corpus; `rca` on the same file misses on the
+    text's hash, hashes the corpus it normalized and matches. A checkpoint
+    that stores the raw text's hash instead (as a train that left the
+    corpus unnormalized wrote it) is refused: the text is the one trained
+    on, the corpus used is not."""
     doc = generate_config()
     doc["generate"]["normalize"] = False
     cfg = write_config(workdir / "gen.json", doc)
@@ -593,14 +641,20 @@ def test_normalize_that_changes_the_corpus_gets_a_fresh_hash(workdir, capsys):
     corpus = str(workdir / "gen" / "corpus.txt")
     assert np.max(np.abs(load(corpus).positions)) != 1.0
     tcfg = write_config(workdir / "train.json", {"schema_version": 1, "train": {
-        "corpus": corpus, "phase": "rca", "normalize": False,
-        "config": {"epochs": 1, "batch_size": 16}}})
+        "corpus": corpus, "phase": "rca", "config": {"epochs": 1, "batch_size": 16}}})
     assert main(["train", "--config", tcfg, "--out", str(workdir / "train")]) == 0
-    checkpoint = str(workdir / "train" / "checkpoint.json")
-    for normalize_corpus, code in ((False, 0), (True, 3)):
+    checkpoint = workdir / "train" / "checkpoint.json"
+    raw_text_ckpt = workdir / "raw_text_checkpoint.json"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    assert doc["corpus_hash"] != _echoed_hash(workdir / "gen")
+    doc["corpus_hash"] = _echoed_hash(workdir / "gen")
+    raw_text_ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    for ckpt, code in ((checkpoint, 0), (raw_text_ckpt, 3)):
         rcfg = write_config(workdir / "rca.json", {"schema_version": 1, "rca": {
-            "checkpoint": checkpoint, "corpus": corpus, "normalize": normalize_corpus}})
+            "checkpoint": str(ckpt), "corpus": corpus}})
         assert main(["rca", "--config", rcfg, "--out", str(workdir / "rca")]) == code
+        if code == 0:
+            assert _echoed_hash(workdir / "rca") == _echoed_hash(workdir / "train")
     assert "corpus hash does not match" in capsys.readouterr().err
 
 
@@ -617,8 +671,9 @@ def _version_1(doc):
     ("version-1", "version 1"),
     ("truncated", "not a checkpoint"),
     ("no-params", "params"),
+    ("no-init_scheme", "init_scheme"),
     ("not-found", "not a checkpoint"),
-], ids=["corpus-file", "version-1", "truncated", "no-params", "not-found"])
+], ids=["corpus-file", "version-1", "truncated", "no-params", "no-init_scheme", "not-found"])
 def test_bad_checkpoint_gives_exit_3(trained, tmp_path, command, fault, message, capsys):
     corpus, checkpoint = trained
     text = open(checkpoint, encoding="utf-8").read()
@@ -629,9 +684,9 @@ def test_bad_checkpoint_gives_exit_3(trained, tmp_path, command, fault, message,
         bad.write_text(_version_1(json.loads(text)))
     elif fault == "truncated":
         bad.write_text(text[: len(text) // 2])
-    elif fault == "no-params":
+    elif fault.startswith("no-"):
         doc = json.loads(text)
-        del doc["params"]
+        del doc[fault[len("no-"):]]
         bad.write_text(json.dumps(doc))
     path = write_config(tmp_path / "c.json", {
         "schema_version": 1, command: {"checkpoint": str(bad), "corpus": corpus}})
